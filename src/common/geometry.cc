@@ -130,6 +130,7 @@ std::vector<Box> SubtractAll(const Box& base, const std::vector<Box>& holes) {
   std::vector<Box> remaining;
   if (!base.empty()) remaining.push_back(base);
   for (const Box& hole : holes) {
+    if (!hole.Overlaps(base)) continue;  // every piece lies inside `base`
     std::vector<Box> next;
     for (const Box& piece : remaining) {
       std::vector<Box> diff = SubtractBox(piece, hole);

@@ -1,10 +1,9 @@
-// Fixed-size thread pool for overlapping REST calls.
-//
-// A production middleware overlaps the per-binding-value calls of a bind
-// join instead of issuing them back-to-back; this pool is the substrate.
-// Deliberately minimal — no work stealing, no task futures: the executor
-// only needs bounded fan-out with deterministic result merging, which
-// ParallelFor provides by indexing results, not by completion order.
+// Fixed-size thread pool for CPU-bound fan-out: the deployment advisor
+// replays its config grid cells on it. (Market calls do not use it: they
+// ride the connector's event-loop CallScheduler.) Deliberately minimal —
+// no work stealing, no task futures: callers only need bounded fan-out
+// with deterministic result merging, which ParallelFor provides by
+// indexing results, not by completion order.
 #ifndef PAYLESS_COMMON_THREAD_POOL_H_
 #define PAYLESS_COMMON_THREAD_POOL_H_
 
@@ -36,8 +35,9 @@ class ThreadPool {
   size_t num_threads() const { return threads_.size(); }
 
   /// Process-wide shared pool sized to the hardware concurrency, created on
-  /// first use and never destroyed (client threads may still be inside it
-  /// at static-destruction time).
+  /// first use and never destroyed (a caller may still be inside it at
+  /// static-destruction time). Its user is the deployment advisor's grid
+  /// replay, which is CPU-bound, so one worker per core is the right size.
   static ThreadPool* Shared();
 
  private:

@@ -14,8 +14,9 @@
 //
 // Cached plans can never be result-wrong, only cost-suboptimal: the
 // execution engine re-runs the SQR rewrite against the live semantic store,
-// and store coverage under a fixed consistency horizon only grows. When the
-// epoch does tick, older keys become unreachable, which IS the invalidation
+// and buys a kCached access like a plain one when its coverage has been
+// evicted since planning. When the epoch does tick, older keys become
+// unreachable, which IS the invalidation
 // — no explicit flush, stale entries just age out of the bounded map, and
 // the forced re-optimization picks up the refined histogram (the paper's
 // uniform-to-learned plan switch, Fig. 3 step 5.4).

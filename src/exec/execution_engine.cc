@@ -1,12 +1,10 @@
 #include "exec/execution_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <optional>
-#include <thread>
 #include <unordered_set>
 
 #include "core/optimizer.h"
@@ -47,58 +45,45 @@ int64_t StageMicros(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-size_t ResolveFanOut(const ExecConfig& config) {
-  if (config.max_parallel_calls != 0) return config.max_parallel_calls;
-  // The event-loop scheduler makes in-flight calls cheap (a timer, not a
-  // thread), so the default window need not track the core count.
-  if (config.use_call_scheduler) return 16;
-  return std::max(1u, std::thread::hardware_concurrency());
-}
+/// The in-flight window used when ExecConfig::max_parallel_calls is 0.
+constexpr size_t kDefaultCallWindow = 16;
 
-/// Issues every call — in parallel when a pool and fan-out allow — and
-/// merges results strictly in call order, so rows, row order, per-call
-/// billing and stats are byte-identical to the serial loop. Errors are
-/// reported in call order too. Pricing depends only on seller-side data
-/// (never on buyer-side state), so issue order cannot change what any one
-/// call is billed.
+/// Issues every call and merges results strictly in call order, so rows,
+/// row order, per-call billing and stats do not depend on the window. A
+/// batch of two or more calls with a window above 1 rides the connector's
+/// event-loop CallScheduler with `window` calls in flight; anything else is
+/// a plain serial loop on the calling thread. Errors are reported in call
+/// order too. Pricing depends only on seller-side data (never on buyer-side
+/// state), so issue order cannot change what any one call is billed.
 ///
 /// Fail-fast under faults: the first call whose retries exhaust (or whose
-/// deadline blows) cancels the not-yet-issued siblings, so a doomed access
+/// deadline blows) cancels the not-yet-issued ones, so a doomed access
 /// stops spending money. Calls already delivered stay billed AND counted in
 /// exec_stats — that is the query's spend-so-far, and their results reached
 /// the listeners, so a re-issued query reuses them via the semantic store.
-Status IssueCalls(market::MarketConnector* connector,
-                  common::ThreadPool* pool, size_t fan_out,
-                  bool use_scheduler,
+/// `delivered[i]` is set for every call whose rows were merged.
+Status IssueCalls(market::MarketConnector* connector, size_t window,
                   const std::vector<market::RestCall>& calls,
                   market::Clock::time_point deadline,
                   const market::CallObs& call_obs, RowSet* rows,
-                  ExecStats* exec_stats,
-                  std::vector<bool>* delivered = nullptr) {
-  if (delivered != nullptr) delivered->assign(calls.size(), false);
+                  ExecStats* exec_stats, std::vector<bool>* delivered) {
+  delivered->assign(calls.size(), false);
   std::vector<std::optional<Result<market::CallResult>>> outcomes;
-  if (use_scheduler && fan_out > 1 && calls.size() > 1) {
-    // Event-loop dispatch: the whole batch rides the connector's timer
-    // loop with `fan_out` calls in flight; claim-time cancellation and
-    // index-aligned outcomes match the thread-per-call path exactly.
+  if (window > 1 && calls.size() > 1) {
     std::vector<market::CallScheduler::Item> items(calls.size());
     for (size_t i = 0; i < calls.size(); ++i) {
       items[i].call = &calls[i];
       items[i].deadline = deadline;
       items[i].call_obs = &call_obs;
     }
-    outcomes = connector->scheduler()->ExecuteBatch(items, fan_out,
+    outcomes = connector->scheduler()->ExecuteBatch(items, window,
                                                     /*cancel_on_error=*/true);
   } else {
     outcomes.resize(calls.size());
-    std::atomic<bool> cancelled{false};
-    common::ParallelFor(pool, calls.size(), fan_out, [&](size_t i) {
-      if (cancelled.load(std::memory_order_relaxed)) return;  // sibling failed
+    for (size_t i = 0; i < calls.size(); ++i) {
       outcomes[i].emplace(connector->Get(calls[i], deadline, &call_obs));
-      if (!(*outcomes[i]).ok()) {
-        cancelled.store(true, std::memory_order_relaxed);
-      }
-    });
+      if (!(*outcomes[i]).ok()) break;  // the rest stay unissued
+    }
   }
   // Accumulate EVERY delivered result before reporting the (call-order
   // first) error, so exec_stats is the true spend-so-far.
@@ -107,14 +92,14 @@ Status IssueCalls(market::MarketConnector* connector,
     std::optional<Result<market::CallResult>>& outcome = outcomes[i];
     if (!outcome.has_value()) {
       if (exec_stats != nullptr) ++exec_stats->calls_cancelled;
-      continue;  // skipped after a sibling's failure: never issued
+      continue;  // skipped after an earlier failure: never issued
     }
     Result<market::CallResult>& result = *outcome;
     if (!result.ok()) {
       if (first_error.ok()) first_error = result.status();
       continue;
     }
-    if (delivered != nullptr) (*delivered)[i] = true;
+    (*delivered)[i] = true;
     rows->AddAll(result->rows);
     if (exec_stats != nullptr) {
       ++exec_stats->calls;
@@ -135,9 +120,7 @@ Status IssueCalls(market::MarketConnector* connector,
 /// totals. Without a router this is exactly IssueCalls.
 Status IssueWithFailover(market::MarketConnector* connector,
                          federation::EndpointRouter* router,
-                         const std::string& dataset,
-                         common::ThreadPool* pool, size_t fan_out,
-                         bool use_scheduler,
+                         const std::string& dataset, size_t window,
                          std::vector<market::RestCall> calls,
                          market::Clock::time_point deadline,
                          const market::CallObs& call_obs, RowSet* rows,
@@ -149,9 +132,8 @@ Status IssueWithFailover(market::MarketConnector* connector,
                                static_cast<int64_t>(calls.size()));
     }
     std::vector<bool> delivered;
-    const Status status =
-        IssueCalls(connector, pool, fan_out, use_scheduler, calls, deadline,
-                   call_obs, rows, exec_stats, &delivered);
+    const Status status = IssueCalls(connector, window, calls, deadline,
+                                     call_obs, rows, exec_stats, &delivered);
     if (status.ok() || router == nullptr || !IsRetryable(status.code())) {
       return status;
     }
@@ -178,11 +160,13 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
     ExecStats* exec_stats) {
   const sql::BoundRelation& rel = query.relations[access.rel];
   const catalog::TableDef& def = *rel.def;
-  const size_t fan_out = ResolveFanOut(config);
+  const size_t window = config.max_parallel_calls != 0
+                            ? config.max_parallel_calls
+                            : kDefaultCallWindow;
 
   // Per-operator span: every access of the plan gets one; the market-call
   // spans the connector opens underneath are its children — including the
-  // ones issued from pool workers during parallel dispatch. The estimate
+  // ones the call scheduler's loop thread drives. The estimate
   // attrs mirror the AccessSpec so EXPLAIN ANALYZE can join estimated vs.
   // actual per access; the actual deltas are attached below, after the
   // access ran.
@@ -220,12 +204,17 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
     return terms != nullptr ? terms->tuples_per_transaction : base;
   };
 
-  const auto issue_all = [&](const std::vector<market::RestCall>& calls,
+  // Every market call of this access goes through here.
+  const auto issue_all = [&](std::vector<market::RestCall> calls,
                              RowSet* rows) -> Status {
-    return IssueWithFailover(connector, router_, def.dataset, pool_, fan_out,
-                             config.use_call_scheduler, calls, config.deadline,
-                             call_obs, rows, exec_stats);
+    return IssueWithFailover(connector, router_, def.dataset, window,
+                             std::move(calls), config.deadline, call_obs,
+                             rows, exec_stats);
   };
+  // Coverage and rows of this access are read from ONE snapshot of the
+  // table, so they always agree even while a concurrent Store grows the
+  // table or DropTable evicts it.
+  const semstore::SemanticStore::TableSnapshot stored = store_->Pin(def.name);
 
   const ExecStats before = exec_stats != nullptr ? *exec_stats : ExecStats{};
   const auto fetch = [&]() -> Result<storage::Table> {
@@ -245,34 +234,35 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
       }
 
       case core::AccessSpec::Kind::kCached: {
-        const std::vector<Row> rows =
-            store_->RowsInRegion(def, rel.QueryRegion(), config.min_epoch);
-        if (exec_stats != nullptr) {
-          exec_stats->rows_from_cache += static_cast<int64_t>(rows.size());
+        const Box region = rel.QueryRegion();
+        if (stored.Covers(region, config.min_epoch)) {
+          const std::vector<Row> rows =
+              stored.RowsInRegion(def, region, config.min_epoch);
+          if (exec_stats != nullptr) {
+            exec_stats->rows_from_cache += static_cast<int64_t>(rows.size());
+          }
+          access_span.AddAttr("rows_cached",
+                              static_cast<int64_t>(rows.size()));
+          for (const Row& row : rows) table.Append(row);
+          return table;
         }
-        access_span.AddAttr("rows_cached", static_cast<int64_t>(rows.size()));
-        for (const Row& row : rows) table.Append(row);
-        return table;
+        // The coverage the plan relied on was evicted after planning: buy
+        // the relation like a plain access.
+        [[fallthrough]];
       }
 
       case core::AccessSpec::Kind::kPlain: {
         const Box region = rel.QueryRegion();
         RowSet rows;
         if (config.use_sqr) {
-          // Re-run the rewrite against the live store: views may have grown
-          // since planning (earlier accesses of this very query included).
-          //
-          // The coverage snapshot MUST be taken before the row harvest: the
-          // store only grows, so any view a concurrent query slips in between
-          // the two reads is missing from this snapshot and gets re-fetched
-          // by the remainder (RowSet dedupes the overlap). Snapshotting
-          // coverage after the harvest loses those rows instead — the
-          // remainder would treat the region as served even though the
-          // harvest never saw it.
+          // Re-run the rewrite against the pinned store state: views may
+          // have grown or been evicted since planning (earlier accesses of
+          // this very query included). The remainder buys whatever the
+          // pinned coverage misses; RowSet dedupes any overlap.
           const std::vector<Box> covered =
-              store_->CoveredRegions(def.name, config.min_epoch);
+              stored.CoveredRegions(config.min_epoch);
           const std::vector<Row> cached =
-              store_->RowsInRegion(def, region, config.min_epoch);
+              stored.RowsInRegion(def, region, config.min_epoch);
           if (exec_stats != nullptr) {
             exec_stats->rows_from_cache += static_cast<int64_t>(cached.size());
           }
@@ -298,7 +288,7 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
                               static_cast<int64_t>(rows.size()));
           access_span.AddAttr("remainder_calls",
                               static_cast<int64_t>(calls.size()));
-          PAYLESS_RETURN_IF_ERROR(issue_all(calls, &rows));
+          PAYLESS_RETURN_IF_ERROR(issue_all(std::move(calls), &rows));
         } else {
           market::RestCall call;
           call.table = def.name;
@@ -382,17 +372,15 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
               column.binding == catalog::BindingKind::kFree;
           region.dim(dim) = Interval(codes.front(), codes.back());
 
-          // Stored tuples on the requested slabs. Coverage is snapshotted
-          // before the harvest for the same reason as the range path above:
-          // a slab a concurrent query stores between the two reads must land
-          // in the remainder (and be deduped), not silently count as served.
+          // Stored tuples on the requested slabs, from the same pinned
+          // state as the coverage the remainder is generated against.
           const std::vector<Box> covered =
-              store_->CoveredRegions(def.name, config.min_epoch);
+              stored.CoveredRegions(config.min_epoch);
           for (const int64_t code : codes) {
             Box slab = region;
             slab.dim(dim) = Interval::Point(code);
             const std::vector<Row> cached =
-                store_->RowsInRegion(def, slab, config.min_epoch);
+                stored.RowsInRegion(def, slab, config.min_epoch);
             if (exec_stats != nullptr) {
               exec_stats->rows_from_cache +=
                   static_cast<int64_t>(cached.size());
@@ -421,169 +409,44 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
                               static_cast<int64_t>(codes.size()));
           access_span.AddAttr("remainder_calls",
                               static_cast<int64_t>(calls.size()));
-          PAYLESS_RETURN_IF_ERROR(issue_all(calls, &rows));
+          PAYLESS_RETURN_IF_ERROR(issue_all(std::move(calls), &rows));
         } else {
-          // One point call per binding combination; with SQR on, fully
-          // covered combinations are served from the store. Distinct
-          // combinations have pairwise-disjoint point regions, so neither the
-          // coverage decision nor any call's price depends on the order the
-          // combinations complete in — they are dispatched with the
-          // configured fan-out and merged back in binding-value order,
-          // keeping rows, row order and billing identical to the serial loop.
-          struct ComboOutcome {
-            std::optional<Result<market::CallResult>> fetched;
-            std::vector<Row> cached;
-            bool from_cache = false;
-            bool cancelled = false;
-          };
-          std::vector<ComboOutcome> outcomes(combos.size());
-          const auto combo_call = [&](size_t i) {
+          // One point call per binding combination. With SQR on, the
+          // combinations the pinned store state fully covers are served from
+          // it up front; the rest go to the market as one batch, merged in
+          // binding-value order.
+          std::vector<market::RestCall> calls;
+          calls.reserve(combos.size());
+          int64_t combos_cached = 0;
+          for (const Row& combo : combos) {
             market::RestCall call;
             call.table = def.name;
             call.conditions = rel.conditions;
             for (size_t c = 0; c < bind_cols.size(); ++c) {
               call.conditions[bind_cols[c]] =
-                  market::AttrCondition::Point(combos[i][c]);
+                  market::AttrCondition::Point(combo[c]);
             }
-            return call;
-          };
-          if (config.use_call_scheduler && fan_out > 1 && combos.size() > 1) {
-            // Store probes are lock-free snapshot reads, so resolve every
-            // combination's coverage serially up front, then batch the
-            // combinations that actually need the market through the
-            // event-loop scheduler with `fan_out` calls in flight.
-            std::vector<market::RestCall> calls(combos.size());
-            std::vector<size_t> need;
-            for (size_t i = 0; i < combos.size(); ++i) {
-              calls[i] = combo_call(i);
-              if (config.use_sqr) {
-                const Box point_region = market::CallRegion(def, calls[i]);
-                if (point_region.empty()) continue;  // outside the domain
-                if (store_->Covers(def, point_region, config.min_epoch)) {
-                  outcomes[i].cached = store_->RowsInRegion(def, point_region,
-                                                            config.min_epoch);
-                  outcomes[i].from_cache = true;
-                  continue;
+            if (config.use_sqr) {
+              const Box point_region = market::CallRegion(def, call);
+              if (point_region.empty()) continue;  // outside the domain
+              if (stored.Covers(point_region, config.min_epoch)) {
+                const std::vector<Row> cached =
+                    stored.RowsInRegion(def, point_region, config.min_epoch);
+                if (exec_stats != nullptr) {
+                  exec_stats->rows_from_cache +=
+                      static_cast<int64_t>(cached.size());
                 }
-              }
-              need.push_back(i);
-            }
-            std::vector<market::CallScheduler::Item> items(need.size());
-            for (size_t j = 0; j < need.size(); ++j) {
-              items[j].call = &calls[need[j]];
-              items[j].deadline = config.deadline;
-              items[j].call_obs = &call_obs;
-            }
-            std::vector<std::optional<Result<market::CallResult>>> fetched =
-                connector->scheduler()->ExecuteBatch(
-                    items, fan_out, /*cancel_on_error=*/true);
-            for (size_t j = 0; j < need.size(); ++j) {
-              if (fetched[j].has_value()) {
-                outcomes[need[j]].fetched = std::move(fetched[j]);
-              } else {
-                outcomes[need[j]].cancelled = true;
+                rows.AddAll(cached);
+                ++combos_cached;
+                continue;
               }
             }
-          } else {
-            std::atomic<bool> cancelled{false};
-            common::ParallelFor(pool_, combos.size(), fan_out, [&](size_t i) {
-              if (cancelled.load(std::memory_order_relaxed)) {
-                // A sibling binding value exhausted its retries: stop
-                // spending on a bind join that can no longer deliver.
-                outcomes[i].cancelled = true;
-                return;
-              }
-              market::RestCall call = combo_call(i);
-              if (config.use_sqr) {
-                const Box point_region = market::CallRegion(def, call);
-                if (point_region.empty()) return;  // value outside the domain
-                if (store_->Covers(def, point_region, config.min_epoch)) {
-                  outcomes[i].cached = store_->RowsInRegion(def, point_region,
-                                                            config.min_epoch);
-                  outcomes[i].from_cache = true;
-                  return;
-                }
-              }
-              outcomes[i].fetched.emplace(
-                  connector->Get(call, config.deadline, &call_obs));
-              if (!(*outcomes[i].fetched).ok()) {
-                cancelled.store(true, std::memory_order_relaxed);
-              }
-            });
-          }
-          // Accumulate every delivered/cached outcome before surfacing the
-          // first (binding-value-order) error: exec_stats must equal the
-          // spend-so-far even when the access fails.
-          Status first_error = Status::OK();
-          int64_t combos_cached = 0;
-          int64_t combos_issued = 0;
-          for (const ComboOutcome& outcome : outcomes) {
-            if (outcome.from_cache) ++combos_cached;
-            if (outcome.fetched.has_value()) ++combos_issued;
+            calls.push_back(std::move(call));
           }
           access_span.AddAttr("binding_values",
                               static_cast<int64_t>(combos.size()));
           access_span.AddAttr("combos_from_store", combos_cached);
-          if (router_ != nullptr && combos_issued > 0) {
-            router_->CountRoutedCalls(connector->market_label(),
-                                      combos_issued);
-          }
-          for (ComboOutcome& outcome : outcomes) {
-            if (outcome.cancelled) {
-              if (exec_stats != nullptr) ++exec_stats->calls_cancelled;
-              continue;
-            }
-            if (outcome.fetched.has_value()) {
-              Result<market::CallResult>& result = *outcome.fetched;
-              if (!result.ok()) {
-                if (first_error.ok()) first_error = result.status();
-                continue;
-              }
-              rows.AddAll(result->rows);
-              if (exec_stats != nullptr) {
-                ++exec_stats->calls;
-                exec_stats->transactions += result->transactions;
-                exec_stats->rows_from_market += result->num_records;
-              }
-            } else if (outcome.from_cache) {
-              if (exec_stats != nullptr) {
-                exec_stats->rows_from_cache +=
-                    static_cast<int64_t>(outcome.cached.size());
-              }
-              rows.AddAll(outcome.cached);
-            }
-          }
-          if (!first_error.ok() && router_ != nullptr &&
-              IsRetryable(first_error.code())) {
-            // The buy-site died mid-bind-join: re-issue only the binding
-            // values that delivered nothing (errored or cancelled-unissued)
-            // at the next-cheapest live endpoint. Delivered siblings stay
-            // billed where they ran; RowSet dedupes any overlap.
-            std::vector<market::RestCall> rescue;
-            for (size_t i = 0; i < combos.size(); ++i) {
-              const ComboOutcome& outcome = outcomes[i];
-              const bool failed = outcome.cancelled ||
-                                  (outcome.fetched.has_value() &&
-                                   !(*outcome.fetched).ok());
-              if (!failed) continue;
-              market::RestCall call = combo_call(i);
-              if (config.use_sqr &&
-                  market::CallRegion(def, call).empty()) {
-                continue;  // value outside the published domain
-              }
-              rescue.push_back(std::move(call));
-            }
-            const std::string next = router_->NextCheapestLive(
-                def.dataset, {connector->market_label()});
-            if (!next.empty()) {
-              router_->CountFailover();
-              first_error = IssueWithFailover(
-                  router_->ConnectorFor(next), router_, def.dataset, pool_,
-                  fan_out, config.use_call_scheduler, std::move(rescue),
-                  config.deadline, call_obs, &rows, exec_stats);
-            }
-          }
-          PAYLESS_RETURN_IF_ERROR(first_error);
+          PAYLESS_RETURN_IF_ERROR(issue_all(std::move(calls), &rows));
         }
         for (Row& row : rows.Take()) table.Append(std::move(row));
         return table;

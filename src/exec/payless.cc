@@ -542,7 +542,6 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   exec_config.min_epoch = opt_options.min_epoch;
   exec_config.remainder = opt_options.remainder;
   exec_config.max_parallel_calls = config_.max_parallel_calls;
-  exec_config.use_call_scheduler = config_.enable_call_scheduler;
   if (config_.query_deadline_micros > 0) {
     exec_config.deadline =
         market::Clock::now() +
@@ -557,8 +556,7 @@ Result<QueryReport> PayLess::QueryWithReportImpl(
   if (trace != nullptr) exec_span = trace->StartSpan("execute", root);
   exec_config.obs.parent_span = exec_span;
 
-  ExecutionEngine engine(catalog_, &local_db_, &connector_, &store_, &stats_,
-                         common::ThreadPool::Shared());
+  ExecutionEngine engine(catalog_, &local_db_, &connector_, &store_, &stats_);
   engine.SetRouter(router_.get());
   Result<storage::Table> result =
       engine.Execute(*bound, report.plan, exec_config, &report.exec);

@@ -55,16 +55,12 @@ struct PayLessConfig {
   /// multidimensional feedback histogram (ISOMER role, default), the
   /// per-dimension independent histograms, or frozen uniform estimates.
   stats::StatsKind stats_kind = stats::StatsKind::kFeedbackHistogram;
-  /// Fan-out for one access's REST calls: a bind join's per-binding-value
-  /// calls (and remainder calls) go out up to this many at a time, merged
-  /// deterministically in binding-value order. 0 = hardware concurrency,
+  /// In-flight window for one access's REST calls: a bind join's
+  /// per-binding-value calls (and remainder calls) ride the connector's
+  /// event-loop CallScheduler up to this many at a time, merged
+  /// deterministically in call order. 0 = the default window of 16,
   /// 1 = strictly serial. Rows and billing are identical either way.
   size_t max_parallel_calls = 0;
-  /// Dispatch multi-call accesses through the connector's event-loop
-  /// CallScheduler (timers instead of parked threads); fan-out then caps
-  /// the in-flight window, not a thread count. Billing and row order are
-  /// identical either way.
-  bool enable_call_scheduler = true;
   /// Reuse plans of repeated identical parameterized queries (skips the DP
   /// entirely). Invalidation is drift-based: the accuracy tracker's epoch
   /// is part of the key, so templates only re-optimize when an estimate

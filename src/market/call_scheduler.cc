@@ -116,7 +116,7 @@ void CallScheduler::AdmitLocked(Batch* batch, std::vector<size_t>* to_start) {
          batch->in_flight < batch->max_in_flight) {
     const size_t i = batch->next++;
     if (batch->failed) {
-      // Claim-time cancellation, mirroring the thread-per-call path: a
+      // Claim-time cancellation, mirroring the executor's serial loop: a
       // sibling's terminal failure stops money being spent on a batch that
       // can no longer deliver. outcomes[i] stays empty.
       --batch->remaining;
@@ -259,7 +259,10 @@ void CallScheduler::Loop() {
     if (timers_.empty()) {
       loop_cv_.wait(lock);
     } else {
-      loop_cv_.wait_until(lock, timers_.front().due);
+      // By value: wait_until reads the deadline again after waking, and an
+      // Arm during the wait may reallocate `timers_`.
+      const Clock::time_point next_due = timers_.front().due;
+      loop_cv_.wait_until(lock, next_due);
     }
   }
 }

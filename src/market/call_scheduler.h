@@ -12,16 +12,18 @@
 // due, then the phases run outside the lock — so a single worker overlaps
 // arbitrarily many call latencies.
 //
-// Billing stays byte-identical to the synchronous path: every bill, retry
-// statistic, breaker transition and listener notification happens inside
-// the connector's phase methods, which both drivers share verbatim. The
-// scheduler only decides WHEN a phase runs, never what it does.
+// Billing stays byte-identical to the synchronous MarketConnector::Get
+// (which the executor uses for single calls and a window of 1): every
+// bill, retry statistic, breaker transition and listener notification
+// happens inside the connector's phase methods, which both drivers share
+// verbatim. The scheduler only decides WHEN a phase runs, never what it
+// does.
 //
 // ExecuteBatch preserves the executor's merge contract: outcomes come back
 // index-aligned with the submitted calls (completion order is irrelevant),
 // and fail-fast cancellation is decided when a call would be ADMITTED into
-// the in-flight window — exactly where the ParallelFor path checks its
-// cancellation flag before issuing.
+// the in-flight window — exactly where the executor's serial loop stops
+// after a failed call.
 #ifndef PAYLESS_MARKET_CALL_SCHEDULER_H_
 #define PAYLESS_MARKET_CALL_SCHEDULER_H_
 

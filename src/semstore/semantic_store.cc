@@ -224,13 +224,6 @@ bool SemanticStore::IsCoveredUnder(const TableData& data, const Box& region,
   return IsCovered(region, CoveredRegionsOf(data, min_epoch));
 }
 
-std::vector<Box> SemanticStore::CoveredRegions(const std::string& table,
-                                               int64_t min_epoch) const {
-  const std::shared_ptr<TableCell> cell = cells_.Find(table);
-  if (cell == nullptr) return {};
-  return CoveredRegionsOf(*cell->data.Load(), min_epoch);
-}
-
 void SemanticStore::CountProbe(const TableCell* cell, bool hit) const {
   probes_.fetch_add(1, std::memory_order_relaxed);
   (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
@@ -244,42 +237,60 @@ void SemanticStore::CountProbe(const TableCell* cell, bool hit) const {
   if (metric != nullptr) metric->Add(1);
 }
 
+std::vector<Box> SemanticStore::CoveredRegions(const std::string& table,
+                                               int64_t min_epoch) const {
+  return Pin(table).CoveredRegions(min_epoch);
+}
+
 bool SemanticStore::Covers(const catalog::TableDef& def, const Box& region,
                            int64_t min_epoch) const {
-  if (region.empty()) {
-    CountProbe(nullptr, /*hit=*/true);
-    return true;
-  }
-  const std::shared_ptr<TableCell> cell = cells_.Find(def.name);
-  if (cell == nullptr) {
-    CountProbe(nullptr, /*hit=*/false);
-    return false;
-  }
-  const std::shared_ptr<const TableData> data = cell->data.Load();
-  const bool covered = IsCoveredUnder(*data, region, min_epoch);
-  CountProbe(cell.get(), covered);
-  return covered;
+  return Pin(def.name).Covers(region, min_epoch);
 }
 
 std::vector<Row> SemanticStore::RowsInRegion(const catalog::TableDef& def,
                                              const Box& region,
                                              int64_t min_epoch) const {
-  std::vector<Row> out = RowsInRegionImpl(def, region, min_epoch);
-  const std::shared_ptr<TableCell> cell =
-      region.empty() ? nullptr : cells_.Find(def.name);
-  CountProbe(cell.get(), /*hit=*/!out.empty());
+  return Pin(def.name).RowsInRegion(def, region, min_epoch);
+}
+
+SemanticStore::TableSnapshot SemanticStore::Pin(
+    const std::string& table) const {
+  return TableSnapshot(this, cells_.Find(table));
+}
+
+std::vector<Box> SemanticStore::TableSnapshot::CoveredRegions(
+    int64_t min_epoch) const {
+  if (data_ == nullptr) return {};
+  return CoveredRegionsOf(*data_, min_epoch);
+}
+
+bool SemanticStore::TableSnapshot::Covers(const Box& region,
+                                          int64_t min_epoch) const {
+  if (region.empty()) {
+    store_->CountProbe(nullptr, /*hit=*/true);
+    return true;
+  }
+  const bool covered =
+      data_ != nullptr && IsCoveredUnder(*data_, region, min_epoch);
+  store_->CountProbe(cell_.get(), covered);
+  return covered;
+}
+
+std::vector<Row> SemanticStore::TableSnapshot::RowsInRegion(
+    const catalog::TableDef& def, const Box& region, int64_t min_epoch) const {
+  std::vector<Row> out;
+  if (data_ != nullptr && !region.empty()) {
+    out = RowsIn(*data_, def, region, min_epoch);
+  }
+  store_->CountProbe(region.empty() ? nullptr : cell_.get(),
+                     /*hit=*/!out.empty());
   return out;
 }
 
-std::vector<Row> SemanticStore::RowsInRegionImpl(const catalog::TableDef& def,
-                                                 const Box& region,
-                                                 int64_t min_epoch) const {
+std::vector<Row> SemanticStore::RowsIn(const TableData& data,
+                                       const catalog::TableDef& def,
+                                       const Box& region, int64_t min_epoch) {
   std::vector<Row> out;
-  if (region.empty()) return out;
-  const std::shared_ptr<TableCell> cell = cells_.Find(def.name);
-  if (cell == nullptr) return out;
-  const std::shared_ptr<const TableData> snapshot = cell->data.Load();
-  const TableData& data = *snapshot;
 
   if (min_epoch == std::numeric_limits<int64_t>::min()) {
     // Weak consistency: serve from the deduplicated pool. Use the postings

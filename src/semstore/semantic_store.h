@@ -1,8 +1,9 @@
 // Semantic store (Fig. 3, step 5.3): every RESTful query PayLess ever
-// issued, together with its result tuples. The store is append-only and
-// never evicts — the paper deliberately trades cheap buyer-side storage for
-// not re-buying data (§3). Stored views power semantic query rewriting
-// (§4.2) and the three consistency levels (§4.3).
+// issued, together with its result tuples. The paper keeps every result —
+// it trades cheap buyer-side storage for not re-buying data (§3) — but a
+// capacity budget may evict whole tables (DropTable, driven by the
+// federation's placement policy). Stored views power semantic query
+// rewriting (§4.2) and the three consistency levels (§4.3).
 //
 // Two internal representations serve the two access patterns:
 //   - the raw VIEW LIST (region + rows + epoch per call) supports epoch-
@@ -16,7 +17,9 @@
 // data is an immutable copy-on-write snapshot (common::SnapshotCell).
 // Readers — Covers / RowsInRegion / CoveredRegions, the query hot path —
 // take ZERO locks: one atomic snapshot load and they walk a structure that
-// can never change underneath them. Writers (Store, fed by market-call
+// can never change underneath them. Each such call loads its own snapshot;
+// a reader that needs coverage and rows to agree (the executor) pins one
+// with Pin and reads both through it. Writers (Store, fed by market-call
 // results) serialize per table on a small writer mutex, rebuild the
 // affected parts of the snapshot, and publish with a release store. Row
 // chunks are shared between successive snapshots, so a Store copies O(views
@@ -81,6 +84,8 @@ struct StoreTableStats {
 
 class SemanticStore {
  public:
+  class TableSnapshot;
+
   SemanticStore() = default;
   SemanticStore(const SemanticStore&) = delete;
   SemanticStore& operator=(const SemanticStore&) = delete;
@@ -111,6 +116,12 @@ class SemanticStore {
   /// views no older than `min_epoch`. Lock-free.
   std::vector<Row> RowsInRegion(const catalog::TableDef& def,
                                 const Box& region, int64_t min_epoch) const;
+
+  /// Pins `table`'s current state. Reads through the returned snapshot all
+  /// see that one state, so coverage checked through it always matches the
+  /// rows read through it, even under a concurrent Store or DropTable.
+  /// Lock-free.
+  TableSnapshot Pin(const std::string& table) const;
 
   size_t NumViews(const std::string& table) const;
   size_t TotalViews() const;
@@ -225,10 +236,10 @@ class SemanticStore {
   static bool IsCoveredUnder(const TableData& data, const Box& region,
                              int64_t min_epoch);
 
-  /// RowsInRegion without the probe accounting (the public wrapper counts).
-  std::vector<Row> RowsInRegionImpl(const catalog::TableDef& def,
-                                    const Box& region,
-                                    int64_t min_epoch) const;
+  /// Stored tuples of one snapshot inside `region` (no probe accounting).
+  static std::vector<Row> RowsIn(const TableData& data,
+                                 const catalog::TableDef& def,
+                                 const Box& region, int64_t min_epoch);
 
   /// Classify one probe outcome into the table's and the store's counters
   /// (and the bound registry counters, when any).
@@ -244,6 +255,28 @@ class SemanticStore {
   std::atomic<obs::Counter*> hits_metric_{nullptr};
   std::atomic<obs::Counter*> misses_metric_{nullptr};
   std::atomic<obs::Counter*> evictions_metric_{nullptr};
+};
+
+/// One table's stored state at a single instant (see SemanticStore::Pin).
+/// Probes through it count in the store's hit/miss counters exactly like
+/// the store's own Covers / RowsInRegion.
+class SemanticStore::TableSnapshot {
+ public:
+  std::vector<Box> CoveredRegions(int64_t min_epoch) const;
+  bool Covers(const Box& region, int64_t min_epoch) const;
+  std::vector<Row> RowsInRegion(const catalog::TableDef& def,
+                                const Box& region, int64_t min_epoch) const;
+
+ private:
+  friend class SemanticStore;
+  TableSnapshot(const SemanticStore* store, std::shared_ptr<TableCell> cell)
+      : store_(store),
+        cell_(std::move(cell)),
+        data_(cell_ != nullptr ? cell_->data.Load() : nullptr) {}
+
+  const SemanticStore* store_;
+  std::shared_ptr<TableCell> cell_;        // null: table never stored
+  std::shared_ptr<const TableData> data_;  // null iff cell_ is
 };
 
 }  // namespace payless::semstore

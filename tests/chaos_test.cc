@@ -507,7 +507,6 @@ TEST_F(ChaosTest, HalfOpenProbeUnderSchedulerWindowIsBillingCorrect) {
   // still missing and the TOTAL spend across every attempt equals the
   // fault-free bill.
   PayLessConfig base;
-  base.enable_call_scheduler = true;
   base.max_parallel_calls = 4;
   base.retry.max_attempts = 1;
   base.retry.breaker_failure_threshold = 2;
@@ -670,100 +669,119 @@ TEST_F(ChaosTest, ScriptedFaultsReplayExactly) {
 // complete on the secondary — and the billed transactions reconcile
 // EXACTLY: ledger total == primary meter + secondary meter, the delivered
 // primary rows are never re-bought, and the per-market ledger cells match
-// each endpoint's own meter.
+// each endpoint's own meter. Runs serially and windowed, on the Fig. 9
+// remainder path (SQR on) and the per-binding-value path (SQR off).
 TEST_F(ChaosTest, CrossMarketFailoverMidBindJoinReconcilesExactly) {
   const std::vector<Value> params = {Value(int64_t{1}), Value(int64_t{8}),
                                      Value(int64_t{kNumDates})};
-  // Fault-free single-market baseline: the rows the failover run must match.
-  std::vector<Row> expected;
-  int64_t baseline_txn = 0;
-  {
-    auto baseline = NewClient();
-    Result<QueryReport> r = baseline->QueryWithReport(kBindSql, params);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_TRUE(r->error.ok()) << r->error.ToString();
-    expected = SortedRows(r->result);
-    baseline_txn = baseline->meter().total_transactions();
-  }
+  for (const size_t window : {size_t{1}, size_t{4}}) {
+    for (const bool use_sqr : {true, false}) {
+      SCOPED_TRACE("window " + std::to_string(window) +
+                   (use_sqr ? ", sqr on" : ", sqr off"));
+      // Fault-free single-market baseline: the rows the failover run must
+      // match.
+      std::vector<Row> expected;
+      int64_t baseline_txn = 0;
+      {
+        PayLessConfig baseline_config;
+        baseline_config.optimizer.use_sqr = use_sqr;
+        auto baseline = NewClient(baseline_config);
+        Result<QueryReport> r = baseline->QueryWithReport(kBindSql, params);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        ASSERT_TRUE(r->error.ok()) << r->error.ToString();
+        expected = SortedRows(r->result);
+        baseline_txn = baseline->meter().total_transactions();
+      }
 
-  federation::FederatedMarket federation(&cat_, /*base_seed=*/7);
-  federation::EndpointConfig primary;
-  primary.id = "primary";
-  primary.menu["WHW"] = federation::DatasetTerms{0.5, 5};  // the cheap site
-  primary.inject_faults = true;
-  primary.fault_profile.transient_rate = 1.0;  // dead after the script runs
-  ASSERT_TRUE(federation.AddEndpoint(primary).ok());
-  federation::EndpointConfig secondary;
-  secondary.id = "secondary";
-  secondary.menu["WHW"] = federation::DatasetTerms{1.0, 5};
-  ASSERT_TRUE(federation.AddEndpoint(secondary).ok());
-  std::vector<Row> weather_rows;
-  for (int64_t s = 1; s <= kNumStations; ++s) {
-    for (int64_t d = 1; d <= kNumDates; ++d) {
-      weather_rows.push_back(Row{Value("US"), Value(s), Value(d),
-                                 Value(static_cast<double>(s * 100 + d))});
+      federation::FederatedMarket federation(&cat_, /*base_seed=*/7);
+      federation::EndpointConfig primary;
+      primary.id = "primary";
+      primary.menu["WHW"] = federation::DatasetTerms{0.5, 5};  // cheap site
+      primary.inject_faults = true;
+      primary.fault_profile.transient_rate = 1.0;  // dead after the script
+      ASSERT_TRUE(federation.AddEndpoint(primary).ok());
+      federation::EndpointConfig secondary;
+      secondary.id = "secondary";
+      secondary.menu["WHW"] = federation::DatasetTerms{1.0, 5};
+      ASSERT_TRUE(federation.AddEndpoint(secondary).ok());
+      std::vector<Row> weather_rows;
+      for (int64_t s = 1; s <= kNumStations; ++s) {
+        for (int64_t d = 1; d <= kNumDates; ++d) {
+          weather_rows.push_back(Row{Value("US"), Value(s), Value(d),
+                                     Value(static_cast<double>(s * 100 + d))});
+        }
+      }
+      ASSERT_TRUE(
+          federation.HostTable("Weather", std::move(weather_rows)).ok());
+
+      obs::Observability obs;
+      PayLessConfig config;
+      config.observability = &obs;
+      config.federation = &federation;
+      config.optimizer.use_sqr = use_sqr;
+      config.retry = TestPolicy();
+      config.retry.max_attempts = 2;
+      config.retry.breaker_failure_threshold = 2;         // opens mid-query
+      config.retry.breaker_cooldown_micros = 10'000'000;  // stays open
+      config.max_parallel_calls = window;
+      auto client = std::make_unique<PayLess>(&cat_, market_.get(), config);
+      ASSERT_TRUE(client->LoadLocalTable("CityMap", city_rows_).ok());
+
+      // Exactly the first primary call delivers (and is billed there);
+      // every later primary call faults until retries exhaust and the
+      // breaker trips.
+      federation.endpoint("primary")->injector()->Script(FaultKind::kNone);
+
+      Result<QueryReport> r = client->QueryWithReport(kBindSql, params);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(r->error.ok()) << r->error.ToString();
+      EXPECT_EQ(SortedRows(r->result), expected);
+
+      auto* router = client->router();
+      ASSERT_NE(router, nullptr);
+      EXPECT_GE(router->failovers(), 1);
+
+      int64_t primary_txn = 0, secondary_txn = 0;
+      for (size_t i = 0; i < federation.num_endpoints(); ++i) {
+        const int64_t txn =
+            router->connector(i)->meter().total_transactions();
+        if (router->endpoint_id(i) == "primary") primary_txn = txn;
+        if (router->endpoint_id(i) == "secondary") secondary_txn = txn;
+      }
+      // Money reached BOTH sellers: the delivered primary call stayed
+      // billed at the primary, the rescued siblings were bought at the
+      // secondary, and nothing was bought twice (total == the fault-free
+      // single-market bill).
+      EXPECT_GT(primary_txn, 0);
+      EXPECT_GT(secondary_txn, 0);
+      EXPECT_EQ(primary_txn + secondary_txn, baseline_txn);
+      EXPECT_EQ(obs.ledger.total_transactions(), primary_txn + secondary_txn);
+      EXPECT_EQ(obs.ledger.total_transactions(),
+                router->TotalMeteredTransactions());
+
+      // The ledger's per-market split reconciles with each endpoint's meter.
+      int64_t cell_primary = 0, cell_secondary = 0;
+      for (const auto& [dataset, cell] :
+           obs.ledger.TenantByDataset("default")) {
+        for (const auto& [site, txn] : cell.by_market) {
+          if (site == "primary") cell_primary += txn;
+          if (site == "secondary") cell_secondary += txn;
+        }
+      }
+      EXPECT_EQ(cell_primary, primary_txn);
+      EXPECT_EQ(cell_secondary, secondary_txn);
+
+      // With SQR on, a re-run reuses the store: every row is already
+      // owned, nobody bills. (With SQR off every run buys again.)
+      if (!use_sqr) continue;
+      Result<QueryReport> again = client->QueryWithReport(kBindSql, params);
+      ASSERT_TRUE(again.ok());
+      ASSERT_TRUE(again->error.ok());
+      EXPECT_EQ(SortedRows(again->result), expected);
+      EXPECT_EQ(router->TotalMeteredTransactions(),
+                primary_txn + secondary_txn);
     }
   }
-  ASSERT_TRUE(federation.HostTable("Weather", std::move(weather_rows)).ok());
-
-  obs::Observability obs;
-  PayLessConfig config;
-  config.observability = &obs;
-  config.federation = &federation;
-  config.retry = TestPolicy();
-  config.retry.max_attempts = 2;
-  config.retry.breaker_failure_threshold = 2;   // opens mid-query
-  config.retry.breaker_cooldown_micros = 10'000'000;  // stays open
-  config.max_parallel_calls = 1;  // deterministic serial binding order
-  auto client = std::make_unique<PayLess>(&cat_, market_.get(), config);
-  ASSERT_TRUE(client->LoadLocalTable("CityMap", city_rows_).ok());
-
-  // Exactly the first primary call delivers (and is billed there); every
-  // later primary call faults until retries exhaust and the breaker trips.
-  federation.endpoint("primary")->injector()->Script(FaultKind::kNone);
-
-  Result<QueryReport> r = client->QueryWithReport(kBindSql, params);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_TRUE(r->error.ok()) << r->error.ToString();
-  EXPECT_EQ(SortedRows(r->result), expected);
-
-  auto* router = client->router();
-  ASSERT_NE(router, nullptr);
-  EXPECT_GE(router->failovers(), 1);
-
-  int64_t primary_txn = 0, secondary_txn = 0;
-  for (size_t i = 0; i < federation.num_endpoints(); ++i) {
-    const int64_t txn = router->connector(i)->meter().total_transactions();
-    if (router->endpoint_id(i) == "primary") primary_txn = txn;
-    if (router->endpoint_id(i) == "secondary") secondary_txn = txn;
-  }
-  // Money reached BOTH sellers: the delivered primary call stayed billed
-  // at the primary, the rescued siblings were bought at the secondary, and
-  // nothing was bought twice (total == the fault-free single-market bill).
-  EXPECT_GT(primary_txn, 0);
-  EXPECT_GT(secondary_txn, 0);
-  EXPECT_EQ(primary_txn + secondary_txn, baseline_txn);
-  EXPECT_EQ(obs.ledger.total_transactions(), primary_txn + secondary_txn);
-  EXPECT_EQ(obs.ledger.total_transactions(),
-            router->TotalMeteredTransactions());
-
-  // The ledger's per-market split reconciles with each endpoint's meter.
-  int64_t cell_primary = 0, cell_secondary = 0;
-  for (const auto& [dataset, cell] : obs.ledger.TenantByDataset("default")) {
-    for (const auto& [site, txn] : cell.by_market) {
-      if (site == "primary") cell_primary += txn;
-      if (site == "secondary") cell_secondary += txn;
-    }
-  }
-  EXPECT_EQ(cell_primary, primary_txn);
-  EXPECT_EQ(cell_secondary, secondary_txn);
-
-  // A re-run reuses the store: every row is already owned, nobody bills.
-  Result<QueryReport> again = client->QueryWithReport(kBindSql, params);
-  ASSERT_TRUE(again.ok());
-  ASSERT_TRUE(again->error.ok());
-  EXPECT_EQ(SortedRows(again->result), expected);
-  EXPECT_EQ(router->TotalMeteredTransactions(), primary_txn + secondary_txn);
 }
 
 }  // namespace

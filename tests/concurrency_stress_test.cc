@@ -103,40 +103,46 @@ class ConcurrencyStressTest : public ::testing::Test {
   std::vector<Row> city_rows_;
 };
 
-// Parallel per-binding-value dispatch must be bit-identical to serial:
-// same rows in the same order, same per-query spend, same meter totals,
-// same store contents.
+// Windowed bind-join dispatch must be bit-identical to serial: same rows
+// in the same order, same per-query spend, same meter totals, same store
+// contents. With SQR on the bind join takes the Fig. 9 remainder path;
+// with SQR off it issues one point call per binding value.
 TEST_F(ConcurrencyStressTest, ParallelBindJoinMatchesSerialExactly) {
-  PayLessConfig serial_config;
-  serial_config.max_parallel_calls = 1;
-  PayLessConfig parallel_config;
-  parallel_config.max_parallel_calls = 8;
+  for (const bool use_sqr : {true, false}) {
+    SCOPED_TRACE(use_sqr ? "sqr on" : "sqr off");
+    PayLessConfig serial_config;
+    serial_config.optimizer.use_sqr = use_sqr;
+    serial_config.max_parallel_calls = 1;
+    PayLessConfig parallel_config;
+    parallel_config.optimizer.use_sqr = use_sqr;
+    parallel_config.max_parallel_calls = 8;
 
-  auto serial = NewClient(serial_config);
-  auto parallel = NewClient(parallel_config);
+    auto serial = NewClient(serial_config);
+    auto parallel = NewClient(parallel_config);
 
-  const std::vector<std::vector<Value>> param_sets = {
-      {Value(int64_t{1}), Value(int64_t{12}), Value(int64_t{kNumDates})},
-      {Value(int64_t{5}), Value(int64_t{20}), Value(int64_t{7})},
-      {Value(int64_t{1}), Value(int64_t{12}), Value(int64_t{kNumDates})},
-      {Value(int64_t{40}), Value(int64_t{64}), Value(int64_t{3})},
-  };
-  for (const auto& params : param_sets) {
-    Result<QueryReport> a = serial->QueryWithReport(kBindSql, params);
-    Result<QueryReport> b = parallel->QueryWithReport(kBindSql, params);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    // Bit-identical: row order included, not just the multiset.
-    EXPECT_EQ(a->result.rows(), b->result.rows());
-    EXPECT_EQ(a->transactions_spent, b->transactions_spent);
-    EXPECT_EQ(a->exec.calls, b->exec.calls);
-    EXPECT_EQ(a->exec.rows_from_market, b->exec.rows_from_market);
-    EXPECT_EQ(a->exec.rows_from_cache, b->exec.rows_from_cache);
+    const std::vector<std::vector<Value>> param_sets = {
+        {Value(int64_t{1}), Value(int64_t{12}), Value(int64_t{kNumDates})},
+        {Value(int64_t{5}), Value(int64_t{20}), Value(int64_t{7})},
+        {Value(int64_t{1}), Value(int64_t{12}), Value(int64_t{kNumDates})},
+        {Value(int64_t{40}), Value(int64_t{64}), Value(int64_t{3})},
+    };
+    for (const auto& params : param_sets) {
+      Result<QueryReport> a = serial->QueryWithReport(kBindSql, params);
+      Result<QueryReport> b = parallel->QueryWithReport(kBindSql, params);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      // Bit-identical: row order included, not just the multiset.
+      EXPECT_EQ(a->result.rows(), b->result.rows());
+      EXPECT_EQ(a->transactions_spent, b->transactions_spent);
+      EXPECT_EQ(a->exec.calls, b->exec.calls);
+      EXPECT_EQ(a->exec.rows_from_market, b->exec.rows_from_market);
+      EXPECT_EQ(a->exec.rows_from_cache, b->exec.rows_from_cache);
+    }
+    EXPECT_EQ(serial->meter().total_transactions(),
+              parallel->meter().total_transactions());
+    EXPECT_EQ(serial->store().TotalStoredRows(),
+              parallel->store().TotalStoredRows());
   }
-  EXPECT_EQ(serial->meter().total_transactions(),
-            parallel->meter().total_transactions());
-  EXPECT_EQ(serial->store().TotalStoredRows(),
-            parallel->store().TotalStoredRows());
 }
 
 // N threads x M queries with pairwise-disjoint footprints against ONE

@@ -167,6 +167,35 @@ TEST_F(ExecTest, SecondRunServedFromCache) {
   ExpectMatchesOracle(sql);
 }
 
+// A plan made while the store covered the relation, executed after the
+// table was evicted, must buy the rows instead of returning none.
+TEST_F(ExecTest, CachedAccessAfterDropTableBuysTheRows) {
+  const std::string sql = "SELECT * FROM Users WHERE Segment = 'silver'";
+  ASSERT_TRUE(Run(sql).ok());
+  const sql::BoundQuery q = BindSql(sql);
+  const core::Optimizer optimizer(&cat_, &stats_, &store_, {});
+  Result<core::OptimizeResult> plan = optimizer.Optimize(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->plan.accesses.size(), 1u);
+  ASSERT_EQ(plan->plan.accesses[0].kind, core::AccessSpec::Kind::kCached);
+
+  store_.DropTable("Users");
+  const int64_t before = connector_->meter().total_transactions();
+  ExecutionEngine engine(&cat_, &db_, connector_.get(), &store_, &stats_);
+  ExecStats stats;
+  Result<storage::Table> got =
+      engine.Execute(q, plan->plan, ExecConfig{}, &stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  Result<storage::Table> want = ReferenceEvaluate(cat_, *market_, db_, sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(got->num_rows(), want->num_rows());
+  EXPECT_TRUE(SameResult(*got, *want));
+  EXPECT_GT(stats.transactions, 0);
+  EXPECT_EQ(connector_->meter().total_transactions() - before,
+            stats.transactions);
+  EXPECT_EQ(store_.TotalHits() + store_.TotalMisses(), store_.TotalProbes());
+}
+
 TEST_F(ExecTest, OverlappingQueryBuysOnlyRemainder) {
   ASSERT_TRUE(
       Run("SELECT * FROM Events, Users WHERE Users.UserID = Events.UserID "
