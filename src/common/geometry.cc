@@ -40,14 +40,6 @@ bool Box::Contains(const Box& other) const {
   return true;
 }
 
-bool Box::Contains(const std::vector<int64_t>& point) const {
-  assert(num_dims() == point.size());
-  for (size_t i = 0; i < dims_.size(); ++i) {
-    if (!dims_[i].Contains(point[i])) return false;
-  }
-  return true;
-}
-
 bool Box::Overlaps(const Box& other) const {
   assert(num_dims() == other.num_dims());
   if (dims_.empty()) return true;  // zero-dimensional unit regions overlap

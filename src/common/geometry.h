@@ -8,8 +8,10 @@
 #ifndef PAYLESS_COMMON_GEOMETRY_H_
 #define PAYLESS_COMMON_GEOMETRY_H_
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,7 +70,15 @@ class Box {
   bool empty() const;
 
   bool Contains(const Box& other) const;
-  bool Contains(const std::vector<int64_t>& point) const;
+  /// `point` has one coordinate per dimension. Inline: the semantic store
+  /// tests thousands of pooled points per read with it.
+  bool Contains(std::span<const int64_t> point) const {
+    assert(num_dims() == point.size());
+    for (size_t i = 0; i < dims_.size(); ++i) {
+      if (!dims_[i].Contains(point[i])) return false;
+    }
+    return true;
+  }
   bool Overlaps(const Box& other) const;
 
   /// Component-wise intersection (possibly empty).

@@ -84,6 +84,15 @@ struct RowHasher {
   size_t operator()(const Row& r) const { return HashRow(r); }
 };
 
+/// Hash and equality of rows held by pointer, compared by value: duplicate
+/// elimination over referenced rows without copying them.
+struct RowPtrHasher {
+  size_t operator()(const Row* r) const { return HashRow(*r); }
+};
+struct RowPtrEqual {
+  bool operator()(const Row* a, const Row* b) const { return *a == *b; }
+};
+
 }  // namespace payless
 
 #endif  // PAYLESS_COMMON_VALUE_H_

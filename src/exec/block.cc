@@ -21,24 +21,22 @@ void ColumnTable::Grow(size_t additional) {
   }
 }
 
-ColumnTable ColumnsFromRows(const std::vector<Row>& rows,
-                            size_t num_columns) {
-  ColumnTable out(num_columns);
-  out.Grow(rows.size());
-  for (size_t c = 0; c < num_columns; ++c) {
-    for (size_t i = 0; i < rows.size(); ++i) out.At(i, c) = rows[i][c];
-  }
-  return out;
+std::vector<Row> RowsFromColumns(const ColumnTable& table) {
+  std::vector<size_t> all(table.num_columns());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  return RowsFromColumns(table, all);
 }
 
-std::vector<Row> RowsFromColumns(const ColumnTable& table) {
+std::vector<Row> RowsFromColumns(const ColumnTable& table,
+                                 const std::vector<size_t>& columns) {
   std::vector<Row> rows(table.num_rows());
   size_t base = 0;
   for (const Block& block : table.blocks()) {
     for (size_t i = 0; i < block.num_rows; ++i) {
-      rows[base + i].reserve(table.num_columns());
+      rows[base + i].reserve(columns.size());
     }
-    for (const std::vector<Value>& column : block.columns) {
+    for (const size_t c : columns) {
+      const std::vector<Value>& column = block.columns[c];
       for (size_t i = 0; i < block.num_rows; ++i) {
         rows[base + i].push_back(column[i]);
       }
@@ -165,18 +163,6 @@ ColumnTable BlockCartesian(const ColumnTable& left, const ColumnTable& right) {
     size_t o = 0;
     for (size_t i = 0; i < ln; ++i) {
       for (size_t j = 0; j < rn; ++j) out.At(o++, lw + c) = right.At(j, c);
-    }
-  }
-  return out;
-}
-
-ColumnTable ProjectColumns(const ColumnTable& table,
-                           const std::vector<size_t>& columns) {
-  ColumnTable out(columns.size());
-  out.Grow(table.num_rows());
-  for (size_t c = 0; c < columns.size(); ++c) {
-    for (size_t i = 0; i < table.num_rows(); ++i) {
-      out.At(i, c) = table.At(i, columns[c]);
     }
   }
   return out;

@@ -16,7 +16,7 @@
 //     only the columns a predicate mentions;
 //   - joins collect matching (left row, right row) index pairs and then
 //     gather the output column by column — no per-output-row allocation;
-//   - projection is a column gather.
+//   - projection is fused into the final column -> row gather.
 //
 // Everything is order-preserving and reproduces the row engine's results
 // byte-for-byte: BlockHashJoin emits probe-order x build-insertion-order
@@ -79,11 +79,13 @@ class ColumnTable {
   std::vector<Block> blocks_;
 };
 
-/// Row-major -> columnar (block at a time).
-ColumnTable ColumnsFromRows(const std::vector<Row>& rows, size_t num_columns);
-
 /// Columnar -> row-major, preserving order.
 std::vector<Row> RowsFromColumns(const ColumnTable& table);
+
+/// Columnar -> row-major keeping only `columns`: output row value j is the
+/// input row's column `columns[j]` (a projection fused into the gather).
+std::vector<Row> RowsFromColumns(const ColumnTable& table,
+                                 const std::vector<size_t>& columns);
 
 /// Hash join on `keys` (left column, right column) pairs. Build side,
 /// NULL-key handling, and output order are byte-identical to
@@ -94,10 +96,6 @@ ColumnTable BlockHashJoin(const ColumnTable& left, const ColumnTable& right,
 
 /// Cross product, left-major order (matches storage::Cartesian).
 ColumnTable BlockCartesian(const ColumnTable& left, const ColumnTable& right);
-
-/// Column gather: output column j is input column `columns[j]`.
-ColumnTable ProjectColumns(const ColumnTable& table,
-                           const std::vector<size_t>& columns);
 
 }  // namespace payless::exec
 

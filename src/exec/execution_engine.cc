@@ -20,22 +20,61 @@ namespace payless::exec {
 
 namespace {
 
-/// Row collector with whole-row deduplication (cached and freshly fetched
-/// tuples can overlap when a remainder box spans stored regions).
+/// Merges one access's rows in arrival order with whole-row deduplication
+/// (stored and freshly bought tuples can overlap when a remainder box spans
+/// stored regions). Each row is kept once: stored rows by reference into
+/// the pinned snapshot, bought rows moved into the access's `bought` deque,
+/// and the dedup set holds pointers to those same rows. Rows are hashed
+/// only once a bought row arrives: before that, nothing can collide.
 class RowSet {
  public:
-  void Add(const Row& row) {
-    if (seen_.insert(row).second) rows_.push_back(row);
+  RowSet(std::deque<Row>* bought, std::vector<const Row*>* rows)
+      : bought_(bought), rows_(rows) {}
+
+  /// Rows read from one pinned snapshot over pairwise-disjoint regions: a
+  /// row lies in exactly one such region and the store never returns the
+  /// same tuple twice for one region, so they are distinct from each other
+  /// and only need checking against rows merged before them.
+  void AddStored(const std::vector<const Row*>& stored) {
+    if (rows_->empty()) {
+      rows_->assign(stored.begin(), stored.end());
+      return;
+    }
+    IndexPending();
+    for (const Row* row : stored) {
+      if (seen_.insert(row).second) Append(row);
+    }
   }
-  void AddAll(const std::vector<Row>& rows) {
-    for (const Row& row : rows) Add(row);
+
+  /// Rows a market call delivered, moved in.
+  void AddBought(std::vector<Row>&& bought) {
+    IndexPending();
+    for (Row& row : bought) {
+      if (seen_.contains(&row)) continue;
+      bought_->push_back(std::move(row));
+      seen_.insert(&bought_->back());
+      Append(&bought_->back());
+    }
   }
-  std::vector<Row> Take() { return std::move(rows_); }
-  size_t size() const { return rows_.size(); }
+
+  size_t size() const { return rows_->size(); }
 
  private:
-  std::unordered_set<Row, RowHasher> seen_;
-  std::vector<Row> rows_;
+  void Append(const Row* row) {
+    rows_->push_back(row);
+    indexed_ = rows_->size();
+  }
+  /// Enters rows merged without a check into the dedup set.
+  void IndexPending() {
+    for (; indexed_ < rows_->size(); ++indexed_) {
+      seen_.insert((*rows_)[indexed_]);
+    }
+  }
+
+  std::deque<Row>* bought_;
+  std::vector<const Row*>* rows_;
+  std::unordered_set<const Row*, RowPtrHasher, RowPtrEqual> seen_;
+  size_t indexed_ = 0;  // rows_[0, indexed_) are in seen_
 };
 
 /// Microseconds elapsed since `start` — the stage-decomposition clock.
@@ -100,7 +139,7 @@ Status IssueCalls(market::MarketConnector* connector, size_t window,
       continue;
     }
     (*delivered)[i] = true;
-    rows->AddAll(result->rows);
+    rows->AddBought(std::move(result->rows));
     if (exec_stats != nullptr) {
       ++exec_stats->calls;
       exec_stats->transactions += result->transactions;
@@ -153,7 +192,7 @@ Status IssueWithFailover(market::MarketConnector* connector,
 
 }  // namespace
 
-Result<storage::Table> ExecutionEngine::FetchRelation(
+Result<ExecutionEngine::AccessRows> ExecutionEngine::FetchRelation(
     const sql::BoundQuery& query, const core::AccessSpec& access,
     size_t access_index, const ColumnTable& left_result,
     const std::vector<size_t>& offsets, const ExecConfig& config,
@@ -213,16 +252,17 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
   };
   // Coverage and rows of this access are read from ONE snapshot of the
   // table, so they always agree even while a concurrent Store grows the
-  // table or DropTable evicts it.
-  const semstore::SemanticStore::TableSnapshot stored = store_->Pin(def.name);
+  // table or DropTable evicts it; the access's row references into it stay
+  // valid for as long as `out` holds it.
+  AccessRows out{store_->Pin(def.name), {}, {}};
+  const semstore::SemanticStore::TableSnapshot& stored = out.stored;
+  RowSet rows(&out.bought, &out.rows);
 
   const ExecStats before = exec_stats != nullptr ? *exec_stats : ExecStats{};
-  const auto fetch = [&]() -> Result<storage::Table> {
-    storage::Table table(storage::SchemaFromTableDef(def));
-
+  const auto fetch = [&]() -> Status {
     switch (access.kind) {
       case core::AccessSpec::Kind::kEmpty:
-        return table;
+        return Status::OK();
 
       case core::AccessSpec::Kind::kLocal: {
         const storage::Table* local = local_db_->FindTable(def.name);
@@ -230,21 +270,22 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
           return Status::NotFound("local table '" + def.name +
                                   "' has no data in the buyer DBMS");
         }
-        return *local;
+        out.rows.reserve(local->num_rows());
+        for (const Row& row : local->rows()) out.rows.push_back(&row);
+        return Status::OK();
       }
 
       case core::AccessSpec::Kind::kCached: {
         const Box region = rel.QueryRegion();
         if (stored.Covers(region, config.min_epoch)) {
-          const std::vector<Row> rows =
-              stored.RowsInRegion(def, region, config.min_epoch);
+          out.rows = stored.RowsInRegion(def, region, config.min_epoch);
           if (exec_stats != nullptr) {
-            exec_stats->rows_from_cache += static_cast<int64_t>(rows.size());
+            exec_stats->rows_from_cache +=
+                static_cast<int64_t>(out.rows.size());
           }
           access_span.AddAttr("rows_cached",
-                              static_cast<int64_t>(rows.size()));
-          for (const Row& row : rows) table.Append(row);
-          return table;
+                              static_cast<int64_t>(out.rows.size()));
+          return Status::OK();
         }
         // The coverage the plan relied on was evicted after planning: buy
         // the relation like a plain access.
@@ -253,7 +294,6 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
 
       case core::AccessSpec::Kind::kPlain: {
         const Box region = rel.QueryRegion();
-        RowSet rows;
         if (config.use_sqr) {
           // Re-run the rewrite against the pinned store state: views may
           // have grown or been evicted since planning (earlier accesses of
@@ -261,12 +301,12 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
           // pinned coverage misses; RowSet dedupes any overlap.
           const std::vector<Box> covered =
               stored.CoveredRegions(config.min_epoch);
-          const std::vector<Row> cached =
+          const std::vector<const Row*> cached =
               stored.RowsInRegion(def, region, config.min_epoch);
           if (exec_stats != nullptr) {
             exec_stats->rows_from_cache += static_cast<int64_t>(cached.size());
           }
-          rows.AddAll(cached);
+          rows.AddStored(cached);
           const catalog::DatasetDef* dataset = catalog_->DatasetOf(def);
           semstore::RemainderOptions rem_options = config.remainder;
           rem_options.tuples_per_transaction =
@@ -295,8 +335,7 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
           call.conditions = rel.conditions;
           PAYLESS_RETURN_IF_ERROR(issue_all({call}, &rows));
         }
-        for (Row& row : rows.Take()) table.Append(std::move(row));
-        return table;
+        return Status::OK();
       }
 
       case core::AccessSpec::Kind::kBind: {
@@ -336,7 +375,6 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
           }
         }
 
-        RowSet rows;
         const bool single_dim = bind_cols.size() == 1;
         if (config.use_sqr && single_dim) {
           // Fig. 9 path: the binding values are KNOWN here, so the bind
@@ -362,7 +400,7 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
           }
           std::sort(codes.begin(), codes.end());
           codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-          if (codes.empty()) return table;
+          if (codes.empty()) return Status::OK();
 
           std::vector<semstore::DimSpec> dims =
               core::Optimizer::DimSpecsFor(def);
@@ -373,20 +411,22 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
           region.dim(dim) = Interval(codes.front(), codes.back());
 
           // Stored tuples on the requested slabs, from the same pinned
-          // state as the coverage the remainder is generated against.
+          // state as the coverage the remainder is generated against. The
+          // slabs are disjoint (one binding value each).
           const std::vector<Box> covered =
               stored.CoveredRegions(config.min_epoch);
+          std::vector<const Row*> cached;
           for (const int64_t code : codes) {
             Box slab = region;
             slab.dim(dim) = Interval::Point(code);
-            const std::vector<Row> cached =
+            const std::vector<const Row*> slab_rows =
                 stored.RowsInRegion(def, slab, config.min_epoch);
-            if (exec_stats != nullptr) {
-              exec_stats->rows_from_cache +=
-                  static_cast<int64_t>(cached.size());
-            }
-            rows.AddAll(cached);
+            cached.insert(cached.end(), slab_rows.begin(), slab_rows.end());
           }
+          if (exec_stats != nullptr) {
+            exec_stats->rows_from_cache += static_cast<int64_t>(cached.size());
+          }
+          rows.AddStored(cached);
 
           const catalog::DatasetDef* dataset = catalog_->DatasetOf(def);
           semstore::RemainderOptions rem_options = config.remainder;
@@ -413,10 +453,11 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
         } else {
           // One point call per binding combination. With SQR on, the
           // combinations the pinned store state fully covers are served from
-          // it up front; the rest go to the market as one batch, merged in
-          // binding-value order.
+          // it up front (distinct combinations are disjoint points); the rest
+          // go to the market as one batch, merged in binding-value order.
           std::vector<market::RestCall> calls;
           calls.reserve(combos.size());
+          std::vector<const Row*> cached;
           int64_t combos_cached = 0;
           for (const Row& combo : combos) {
             market::RestCall call;
@@ -430,32 +471,32 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
               const Box point_region = market::CallRegion(def, call);
               if (point_region.empty()) continue;  // outside the domain
               if (stored.Covers(point_region, config.min_epoch)) {
-                const std::vector<Row> cached =
+                const std::vector<const Row*> combo_rows =
                     stored.RowsInRegion(def, point_region, config.min_epoch);
-                if (exec_stats != nullptr) {
-                  exec_stats->rows_from_cache +=
-                      static_cast<int64_t>(cached.size());
-                }
-                rows.AddAll(cached);
+                cached.insert(cached.end(), combo_rows.begin(),
+                              combo_rows.end());
                 ++combos_cached;
                 continue;
               }
             }
             calls.push_back(std::move(call));
           }
+          if (exec_stats != nullptr) {
+            exec_stats->rows_from_cache += static_cast<int64_t>(cached.size());
+          }
+          rows.AddStored(cached);
           access_span.AddAttr("binding_values",
                               static_cast<int64_t>(combos.size()));
           access_span.AddAttr("combos_from_store", combos_cached);
           PAYLESS_RETURN_IF_ERROR(issue_all(std::move(calls), &rows));
         }
-        for (Row& row : rows.Take()) table.Append(std::move(row));
-        return table;
+        return Status::OK();
       }
     }
     return Status::Internal("unknown access kind");
   };
 
-  Result<storage::Table> fetched = fetch();
+  const Status fetched = fetch();
   // Actuals, attached whether the access succeeded or died mid-flight:
   // what EXPLAIN ANALYZE (and any trace consumer) compares the estimates
   // against. `transactions` here is the spend billed to delivered calls;
@@ -467,10 +508,9 @@ Result<storage::Table> ExecutionEngine::FetchRelation(
     access_span.AddAttr("rows_from_market",
                         exec_stats->rows_from_market - before.rows_from_market);
   }
-  if (fetched.ok()) {
-    access_span.AddAttr("rows", static_cast<int64_t>(fetched->num_rows()));
-  }
-  return fetched;
+  PAYLESS_RETURN_IF_ERROR(fetched);
+  access_span.AddAttr("rows", static_cast<int64_t>(out.rows.size()));
+  return out;
 }
 
 Result<storage::Table> ExecutionEngine::Execute(const sql::BoundQuery& query,
@@ -507,33 +547,42 @@ Result<storage::Table> ExecutionEngine::Execute(const sql::BoundQuery& query,
   for (size_t a = 0; a < plan.accesses.size(); ++a) {
     const core::AccessSpec& access = plan.accesses[a];
     const auto fetch_start = std::chrono::steady_clock::now();
-    Result<storage::Table> fetched =
+    Result<AccessRows> fetched =
         FetchRelation(query, access, a, current, offsets, config, exec_stats);
     if (stages != nullptr) {
       stages->Add(obs::kStageFetch, StageMicros(fetch_start));
     }
     PAYLESS_RETURN_IF_ERROR(fetched.status());
 
-    // Maintain the running join columnar (it feeds later bind joins).
+    // Maintain the running join columnar (it feeds later bind joins). The
+    // access's rows are filtered straight from their references into the
+    // first column block; the first access IS the running join.
     const auto merge_start = std::chrono::steady_clock::now();
-    const ColumnTable filtered =
-        FilterRelationColumns(query, access.rel, *fetched);
-    std::vector<std::pair<size_t, size_t>> keys;
-    for (const sql::JoinEdge& e : query.joins) {
-      if (e.left.rel == access.rel && placed[e.right.rel]) {
-        keys.emplace_back(offsets[e.right.rel] + e.right.col, e.left.col);
-      } else if (e.right.rel == access.rel && placed[e.left.rel]) {
-        keys.emplace_back(offsets[e.left.rel] + e.left.col, e.right.col);
+    const catalog::TableDef& def = *query.relations[access.rel].def;
+    ColumnTable filtered = FilterRelationColumns(query, access.rel,
+                                                 fetched->rows,
+                                                 def.columns.size());
+    const size_t filtered_width = filtered.num_columns();
+    if (a == 0) {
+      current = std::move(filtered);
+    } else {
+      std::vector<std::pair<size_t, size_t>> keys;
+      for (const sql::JoinEdge& e : query.joins) {
+        if (e.left.rel == access.rel && placed[e.right.rel]) {
+          keys.emplace_back(offsets[e.right.rel] + e.right.col, e.left.col);
+        } else if (e.right.rel == access.rel && placed[e.left.rel]) {
+          keys.emplace_back(offsets[e.left.rel] + e.left.col, e.right.col);
+        }
       }
+      current = keys.empty() ? BlockCartesian(current, filtered)
+                             : BlockHashJoin(current, filtered, keys);
     }
-    current = keys.empty() ? BlockCartesian(current, filtered)
-                           : BlockHashJoin(current, filtered, keys);
     offsets[access.rel] = width;
-    width += filtered.num_columns();
+    width += filtered_width;
     placed[access.rel] = true;
-    for (const storage::SchemaColumn& col : fetched->schema().columns()) {
-      placed_cols.push_back(col);
-    }
+    const storage::Schema schema = storage::SchemaFromTableDef(def);
+    placed_cols.insert(placed_cols.end(), schema.columns().begin(),
+                       schema.columns().end());
     if (stages != nullptr) {
       stages->Add(obs::kStageMerge, StageMicros(merge_start));
     }

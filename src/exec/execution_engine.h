@@ -7,7 +7,9 @@
 #define PAYLESS_EXEC_EXECUTION_ENGINE_H_
 
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "core/plan.h"
@@ -87,10 +89,20 @@ class ExecutionEngine {
                                  ExecStats* exec_stats = nullptr);
 
  private:
+  /// One access's rows, in access order, read by reference: stored rows
+  /// point into `stored` (pinned for as long as this lives), local rows
+  /// into the buyer DBMS, and bought rows into `bought`, which owns them (a
+  /// deque, so appending never moves a referenced row).
+  struct AccessRows {
+    semstore::SemanticStore::TableSnapshot stored;
+    std::deque<Row> bought;
+    std::vector<const Row*> rows;
+  };
+
   /// Retrieves the rows for one access, spending money as needed.
   /// `access_index` is the access's position in the plan; it tags the
   /// access span so EXPLAIN ANALYZE can join actuals back onto the plan.
-  Result<storage::Table> FetchRelation(const sql::BoundQuery& query,
+  Result<AccessRows> FetchRelation(const sql::BoundQuery& query,
                                        const core::AccessSpec& access,
                                        size_t access_index,
                                        const ColumnTable& left_result,

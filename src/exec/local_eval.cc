@@ -19,21 +19,32 @@ size_t ColumnPosition(const sql::BoundQuery& query,
   return offsets[ref.rel] + ref.col;
 }
 
+/// References to every row of `table`.
+std::vector<const Row*> RowRefs(const storage::Table& table) {
+  std::vector<const Row*> refs;
+  refs.reserve(table.num_rows());
+  for (const Row& row : table.rows()) refs.push_back(&row);
+  return refs;
+}
+
 }  // namespace
 
 storage::Table FilterRelation(const sql::BoundQuery& query, size_t rel,
                               const storage::Table& raw) {
-  return storage::Table(raw.schema(),
-                        RowsFromColumns(FilterRelationColumns(query, rel, raw)));
+  const size_t width = raw.schema().num_columns();
+  return storage::Table(
+      raw.schema(),
+      RowsFromColumns(
+          FilterRelationColumns(query, rel, RowRefs(raw), width)));
 }
 
 ColumnTable FilterRelationColumns(const sql::BoundQuery& query, size_t rel,
-                                  const storage::Table& raw) {
+                                  const std::vector<const Row*>& rows,
+                                  size_t num_columns) {
   const sql::BoundRelation& relation = query.relations[rel];
-  ColumnTable out(raw.schema().num_columns());
+  ColumnTable out(num_columns);
   if (relation.always_empty) return out;
 
-  const std::vector<Row>& rows = raw.rows();
   std::vector<uint32_t> sel;
   sel.reserve(kBlockCapacity);
   for (size_t base = 0; base < rows.size(); base += kBlockCapacity) {
@@ -50,7 +61,7 @@ ColumnTable FilterRelationColumns(const sql::BoundQuery& query, size_t rel,
       const market::AttrCondition& cond = relation.conditions[c];
       size_t kept = 0;
       for (const uint32_t i : sel) {
-        if (cond.Matches(rows[i][c])) sel[kept++] = i;
+        if (cond.Matches((*rows[i])[c])) sel[kept++] = i;
       }
       sel.resize(kept);
     }
@@ -59,7 +70,7 @@ ColumnTable FilterRelationColumns(const sql::BoundQuery& query, size_t rel,
       if (sel.empty()) break;
       size_t kept = 0;
       for (const uint32_t i : sel) {
-        if (EvalCompare(rows[i][pred.column.col], pred.op, pred.literal)) {
+        if (EvalCompare((*rows[i])[pred.column.col], pred.op, pred.literal)) {
           sel[kept++] = i;
         }
       }
@@ -70,7 +81,7 @@ ColumnTable FilterRelationColumns(const sql::BoundQuery& query, size_t rel,
     out.Grow(sel.size());
     for (size_t c = 0; c < out.num_columns(); ++c) {
       for (size_t i = 0; i < sel.size(); ++i) {
-        out.At(dst + i, c) = rows[sel[i]][c];
+        out.At(dst + i, c) = (*rows[sel[i]])[c];
       }
     }
   }
@@ -93,7 +104,9 @@ Result<storage::Table> EvaluateLocally(
   std::vector<ColumnTable> filtered;
   filtered.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    filtered.push_back(FilterRelationColumns(query, i, rel_tables[i]));
+    filtered.push_back(
+        FilterRelationColumns(query, i, RowRefs(rel_tables[i]),
+                              rel_tables[i].schema().num_columns()));
   }
 
   std::vector<size_t> offsets(n, 0);
@@ -198,9 +211,21 @@ Result<storage::Table> EvaluateJoined(
   };
 
   if (query.HasAggregates()) {
+    // The aggregate sink reads only the grouped and aggregated columns:
+    // `narrow` lists their joined-table positions (first use first), and
+    // group keys and aggregate inputs index into it.
+    std::vector<size_t> narrow;
+    const auto narrow_index = [&narrow](size_t pos) {
+      const auto it = std::find(narrow.begin(), narrow.end(), pos);
+      if (it != narrow.end()) return static_cast<size_t>(it - narrow.begin());
+      narrow.push_back(pos);
+      return narrow.size() - 1;
+    };
+    std::vector<size_t> group_positions;
     std::vector<size_t> group_cols;
     for (const sql::BoundColumnRef& ref : query.group_by) {
-      group_cols.push_back(position(ref));
+      group_positions.push_back(position(ref));
+      group_cols.push_back(narrow_index(group_positions.back()));
     }
     std::vector<storage::AggSpec> aggs;
     std::vector<size_t> select_to_output(query.select.size());
@@ -210,17 +235,17 @@ Result<storage::Table> EvaluateJoined(
         storage::AggSpec spec;
         spec.func = item.agg;
         spec.count_star = item.agg_star;
-        if (!item.agg_star) spec.column = position(item.column);
+        if (!item.agg_star) spec.column = narrow_index(position(item.column));
         spec.output_name = item.output_name;
         select_to_output[s] = group_cols.size() + aggs.size();
         aggs.push_back(spec);
       } else if (item.kind == sql::BoundSelectItem::Kind::kColumn) {
         const size_t pos = position(item.column);
-        size_t idx = group_cols.size();
-        for (size_t g = 0; g < group_cols.size(); ++g) {
-          if (group_cols[g] == pos) idx = g;
+        size_t idx = group_positions.size();
+        for (size_t g = 0; g < group_positions.size(); ++g) {
+          if (group_positions[g] == pos) idx = g;
         }
-        if (idx == group_cols.size()) {
+        if (idx == group_positions.size()) {
           return Status::InvalidArgument("selected column '" +
                                          item.output_name +
                                          "' is not a grouping column");
@@ -231,9 +256,13 @@ Result<storage::Table> EvaluateJoined(
       }
     }
     // The aggregate is the columnar pipeline's sink: group keys need whole
-    // rows anyway, and the grouped output is small.
-    const storage::Table current_table(storage::Schema(placed_cols),
-                                       RowsFromColumns(current));
+    // rows anyway, and the grouped output is small. Only the narrow columns
+    // become rows.
+    std::vector<storage::SchemaColumn> narrow_cols;
+    narrow_cols.reserve(narrow.size());
+    for (const size_t c : narrow) narrow_cols.push_back(placed_cols[c]);
+    const storage::Table current_table(storage::Schema(std::move(narrow_cols)),
+                                       RowsFromColumns(current, narrow));
     const storage::Table grouped =
         storage::GroupAggregate(current_table, group_cols, aggs);
     // Reorder to the SELECT-list order.
@@ -255,14 +284,13 @@ Result<storage::Table> EvaluateJoined(
       out_cols.push_back(position(item.column));
     }
   }
-  // Project while still columnar; rows materialize only for the final
-  // result table.
+  // Project while turning columns into rows: rows materialize only for the
+  // final result table.
   std::vector<storage::SchemaColumn> proj_cols;
   proj_cols.reserve(out_cols.size());
   for (const size_t c : out_cols) proj_cols.push_back(placed_cols[c]);
-  return finalize(
-      storage::Table(storage::Schema(std::move(proj_cols)),
-                     RowsFromColumns(ProjectColumns(current, out_cols))));
+  return finalize(storage::Table(storage::Schema(std::move(proj_cols)),
+                                 RowsFromColumns(current, out_cols)));
 }
 
 }  // namespace payless::exec

@@ -39,11 +39,14 @@ Result<storage::Table> EvaluateJoined(
 storage::Table FilterRelation(const sql::BoundQuery& query, size_t rel,
                               const storage::Table& raw);
 
-/// Block-vectorized form of FilterRelation: evaluates one predicate column
-/// at a time over a selection vector (block by block, compacting as it
-/// goes) and gathers survivors columnar. Same rows, same order.
+/// Block-vectorized form of FilterRelation over row references (each row
+/// has `num_columns` values): evaluates one predicate column at a time
+/// over a selection vector (block by block, compacting as it goes) and
+/// gathers survivors columnar. Same rows, same order. The referenced rows
+/// are only read; this is the one copy into the columnar pipeline.
 ColumnTable FilterRelationColumns(const sql::BoundQuery& query, size_t rel,
-                                  const storage::Table& raw);
+                                  const std::vector<const Row*>& rows,
+                                  size_t num_columns);
 
 }  // namespace payless::exec
 

@@ -3,12 +3,17 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
 namespace payless::obs {
 
 namespace {
+
+constexpr size_t kWord = sizeof(uint64_t);
+
+size_t WordsFor(size_t bytes) { return (bytes + kWord - 1) / kWord; }
 
 // The armed recorder and its dump path live in process-wide statics so the
 // crash path needs no object plumbing: durability's crash points call
@@ -25,7 +30,8 @@ FlightRecorder::FlightRecorder(const Options& options) : options_(options) {
   if (options_.entry_bytes < 64) options_.entry_bytes = 64;
   slots_ = std::make_unique<Slot[]>(options_.capacity);
   for (size_t i = 0; i < options_.capacity; ++i) {
-    slots_[i].buf = std::make_unique<char[]>(options_.entry_bytes);
+    slots_[i].buf =
+        std::make_unique<uint64_t[]>(WordsFor(options_.entry_bytes));
   }
 }
 
@@ -52,8 +58,18 @@ void FlightRecorder::Record(const std::string& entry_json) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  std::memcpy(slot.buf.get(), entry_json.data(), entry_json.size());
-  slot.len.store(entry_json.size(), std::memory_order_relaxed);
+  // Orders the odd sequence before the payload stores for a reader that
+  // sees any of them (it pairs with the reader's acquire fence).
+  std::atomic_thread_fence(std::memory_order_release);
+  const size_t len = entry_json.size();
+  for (size_t w = 0; w < WordsFor(len); ++w) {
+    uint64_t word = 0;
+    std::memcpy(&word, entry_json.data() + w * kWord,
+                std::min(kWord, len - w * kWord));
+    std::atomic_ref<uint64_t>(slot.buf[w]).store(word,
+                                                 std::memory_order_relaxed);
+  }
+  slot.len.store(len, std::memory_order_relaxed);
   slot.seq.store(seq + 2, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -64,8 +80,16 @@ bool FlightRecorder::ReadSlot(size_t i, std::string* out) const {
   if (before == 0 || (before & 1) != 0) return false;  // empty or mid-write
   const size_t len = slot.len.load(std::memory_order_relaxed);
   if (len == 0 || len > options_.entry_bytes) return false;
-  out->assign(slot.buf.get(), len);
-  return slot.seq.load(std::memory_order_acquire) == before;
+  out->resize(len);
+  for (size_t w = 0; w < WordsFor(len); ++w) {
+    const uint64_t word = std::atomic_ref<uint64_t>(slot.buf[w])
+                              .load(std::memory_order_relaxed);
+    std::memcpy(out->data() + w * kWord, &word,
+                std::min(kWord, len - w * kWord));
+  }
+  // The payload loads complete before the sequence is re-checked.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return slot.seq.load(std::memory_order_relaxed) == before;
 }
 
 std::string FlightRecorder::ToJson() const {

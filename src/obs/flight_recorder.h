@@ -8,7 +8,8 @@
 // slot mid-write (the ring lapped itself) drops the entry rather than
 // block. Readers copy out slots whose sequence is stable across the copy
 // and skip torn ones, so ToJson()/DumpTo() are safe against concurrent
-// recording without any lock.
+// recording without any lock. Payload words are relaxed atomics, so the
+// racing copy is well-defined.
 //
 // Crash path: ArmCrashDump registers this recorder process-wide;
 // DumpArmedRecorder() — called at the durability crash points right before
@@ -69,10 +70,13 @@ class FlightRecorder {
   int64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
  private:
+  /// The payload is copied word by word through relaxed atomic accesses
+  /// (std::atomic_ref), so a reader racing a writer reads torn words, never
+  /// a data race; the seqlock then tells it to discard them.
   struct Slot {
     std::atomic<uint64_t> seq{0};  // even = stable, odd = being written
     std::atomic<size_t> len{0};
-    std::unique_ptr<char[]> buf;
+    std::unique_ptr<uint64_t[]> buf;  // entry_bytes rounded up to words
   };
 
   /// Copies slot `i` into `out` if stable; returns false on a torn read.

@@ -101,8 +101,10 @@ Box ValidExpansion(const Box& box, const std::vector<DimSpec>& dims) {
 
 int64_t EstimatedTransactions(double rows, int64_t tuples_per_transaction) {
   if (rows < 0.0) rows = 0.0;
-  const int64_t txn = static_cast<int64_t>(
-      std::ceil(rows / static_cast<double>(tuples_per_transaction)));
+  double pages = rows / static_cast<double>(tuples_per_transaction);
+  const double whole = std::round(pages);
+  if (std::abs(pages - whole) <= 1e-9 * std::max(1.0, whole)) pages = whole;
+  const int64_t txn = static_cast<int64_t>(std::ceil(pages));
   return txn < 1 ? 1 : txn;
 }
 

@@ -90,7 +90,11 @@ using BoxEstimator = std::function<double(const Box&)>;
 
 /// Expected transactions to download an estimated `rows` rows (never 0: a
 /// remainder query must be issued even if statistics predict it is empty —
-/// only the market knows for sure).
+/// only the market knows for sure). A page count within 1e-9 (relative) of
+/// a whole number is taken as that number: a histogram estimate is a sum of
+/// fractional bucket shares, so a box of exactly k pages can come out a few
+/// ulps above k pages, and by how much depends on the order feedback
+/// arrived in. Rounding that up would price a phantom page.
 int64_t EstimatedTransactions(double rows, int64_t tuples_per_transaction);
 
 /// Core entry point. `query` is Q (already clipped to the table's domains);

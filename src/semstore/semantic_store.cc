@@ -8,16 +8,28 @@
 
 namespace payless::semstore {
 
+namespace {
+
+/// Writes the lattice point of `row` over the constrainable columns `dims`
+/// to `point` (dims.size() slots); false if some value has no code.
+bool EncodePoint(const catalog::TableDef& def, const std::vector<size_t>& dims,
+                 const Row& row, int64_t* point) {
+  for (size_t d = 0; d < dims.size(); ++d) {
+    const std::optional<int64_t> code =
+        def.columns[dims[d]].domain.Encode(row[dims[d]]);
+    if (!code.has_value()) return false;
+    point[d] = *code;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::optional<std::vector<int64_t>> RowPoint(const catalog::TableDef& def,
                                              const Row& row) {
-  std::vector<int64_t> point;
   const std::vector<size_t> dims = def.ConstrainableColumns();
-  point.reserve(dims.size());
-  for (size_t col : dims) {
-    const std::optional<int64_t> code = def.columns[col].domain.Encode(row[col]);
-    if (!code.has_value()) return std::nullopt;
-    point.push_back(*code);
-  }
+  std::vector<int64_t> point(dims.size());
+  if (!EncodePoint(def, dims, row, point.data())) return std::nullopt;
   return point;
 }
 
@@ -119,6 +131,7 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
   const std::vector<size_t> dims = def.ConstrainableColumns();
   const size_t num_dims = dims.size();
   if (next->postings.empty()) {
+    next->num_dims = num_dims;
     next->postings.resize(num_dims);
     next->dim_posted.resize(num_dims);
     for (size_t d = 0; d < num_dims; ++d) {
@@ -131,7 +144,11 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
   // smallest bucket of its point decides (empty bucket on any posted dim
   // means absent). In-batch duplicates are caught too — postings grow as
   // the batch appends. No hashed seen-set, no second copy of the pool.
-  const auto pooled_duplicate = [&](const std::vector<int64_t>& point,
+  const auto same_point = [](std::span<const int64_t> a,
+                             std::span<const int64_t> b) {
+    return std::equal(a.begin(), a.end(), b.begin());
+  };
+  const auto pooled_duplicate = [&](std::span<const int64_t> point,
                                     const Row& row) {
     const std::vector<uint32_t>* bucket = nullptr;
     for (size_t d = 0; d < num_dims; ++d) {
@@ -144,14 +161,16 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
     }
     if (bucket == nullptr) {  // no discriminating dimension: scan the pool
       for (size_t i = 0; i < next->pooled_rows; ++i) {
-        if (next->PooledPoint(i) == point && next->PooledRow(i) == row) {
+        if (same_point(next->PooledPoint(i), point) &&
+            next->PooledRow(i) == row) {
           return true;
         }
       }
       return false;
     }
     for (const uint32_t i : *bucket) {
-      if (next->PooledPoint(i) == point && next->PooledRow(i) == row) {
+      if (same_point(next->PooledPoint(i), point) &&
+          next->PooledRow(i) == row) {
         return true;
       }
     }
@@ -165,23 +184,25 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
     open = std::make_shared<RowChunk>(*next->chunks.back());
     next->chunks.back() = open;
   }
+  std::vector<int64_t> point(num_dims);
   for (const Row& row : rows) {
-    std::optional<std::vector<int64_t>> point = RowPoint(def, row);
-    if (!point.has_value()) continue;  // outside domains: unreachable anyway
-    if (pooled_duplicate(*point, row)) continue;
+    if (!EncodePoint(def, dims, row, point.data())) {
+      continue;  // outside domains: unreachable anyway
+    }
+    if (pooled_duplicate(point, row)) continue;
     const uint32_t index = static_cast<uint32_t>(next->pooled_rows);
     if (open == nullptr || open->rows.size() >= kRowChunk) {
       open = std::make_shared<RowChunk>();
       open->rows.reserve(kRowChunk);
-      open->points.reserve(kRowChunk);
+      open->points.reserve(kRowChunk * num_dims);
       next->chunks.push_back(open);
     }
     open->rows.push_back(row);
     for (size_t d = 0; d < num_dims; ++d) {
       if (next->dim_posted[d] == 0) continue;
-      next->postings[d][(*point)[d]].push_back(index);
+      next->postings[d][point[d]].push_back(index);
     }
-    open->points.push_back(std::move(*point));
+    open->points.insert(open->points.end(), point.begin(), point.end());
     ++next->pooled_rows;
   }
 
@@ -247,12 +268,6 @@ bool SemanticStore::Covers(const catalog::TableDef& def, const Box& region,
   return Pin(def.name).Covers(region, min_epoch);
 }
 
-std::vector<Row> SemanticStore::RowsInRegion(const catalog::TableDef& def,
-                                             const Box& region,
-                                             int64_t min_epoch) const {
-  return Pin(def.name).RowsInRegion(def, region, min_epoch);
-}
-
 SemanticStore::TableSnapshot SemanticStore::Pin(
     const std::string& table) const {
   return TableSnapshot(this, cells_.Find(table));
@@ -276,9 +291,9 @@ bool SemanticStore::TableSnapshot::Covers(const Box& region,
   return covered;
 }
 
-std::vector<Row> SemanticStore::TableSnapshot::RowsInRegion(
+std::vector<const Row*> SemanticStore::TableSnapshot::RowsInRegion(
     const catalog::TableDef& def, const Box& region, int64_t min_epoch) const {
-  std::vector<Row> out;
+  std::vector<const Row*> out;
   if (data_ != nullptr && !region.empty()) {
     out = RowsIn(*data_, def, region, min_epoch);
   }
@@ -287,10 +302,11 @@ std::vector<Row> SemanticStore::TableSnapshot::RowsInRegion(
   return out;
 }
 
-std::vector<Row> SemanticStore::RowsIn(const TableData& data,
-                                       const catalog::TableDef& def,
-                                       const Box& region, int64_t min_epoch) {
-  std::vector<Row> out;
+std::vector<const Row*> SemanticStore::RowsIn(const TableData& data,
+                                              const catalog::TableDef& def,
+                                              const Box& region,
+                                              int64_t min_epoch) {
+  std::vector<const Row*> out;
 
   if (min_epoch == std::numeric_limits<int64_t>::min()) {
     // Weak consistency: serve from the deduplicated pool. Use the postings
@@ -327,7 +343,7 @@ std::vector<Row> SemanticStore::RowsIn(const TableData& data,
         if (post_it == data.postings[best_dim].end()) continue;
         for (const uint32_t i : post_it->second) {
           if (region.Contains(data.PooledPoint(i))) {
-            out.push_back(data.PooledRow(i));
+            out.push_back(&data.PooledRow(i));
           }
         }
       }
@@ -335,7 +351,7 @@ std::vector<Row> SemanticStore::RowsIn(const TableData& data,
       out.reserve(data.pooled_rows);
       for (size_t i = 0; i < data.pooled_rows; ++i) {
         if (region.Contains(data.PooledPoint(i))) {
-          out.push_back(data.PooledRow(i));
+          out.push_back(&data.PooledRow(i));
         }
       }
     }
@@ -357,14 +373,19 @@ std::vector<Row> SemanticStore::RowsIn(const TableData& data,
                    [](const StoredView* a, const StoredView* b) {
                      return a->epoch > b->epoch;
                    });
-  std::unordered_set<Row, RowHasher> seen;
+  // Dedup hashes the referenced rows in place: nothing is copied.
+  std::unordered_set<const Row*, RowPtrHasher, RowPtrEqual> seen;
   seen.reserve(candidate_rows);
   out.reserve(candidate_rows);
+  const std::vector<size_t> dims = def.ConstrainableColumns();
+  std::vector<int64_t> point(dims.size());
   for (const StoredView* view : usable) {
     for (const Row& row : view->rows) {
-      const std::optional<std::vector<int64_t>> point = RowPoint(def, row);
-      if (!point.has_value() || !region.Contains(*point)) continue;
-      if (seen.insert(row).second) out.push_back(row);
+      if (!EncodePoint(def, dims, row, point.data()) ||
+          !region.Contains(point)) {
+        continue;
+      }
+      if (seen.insert(&row).second) out.push_back(&row);
     }
   }
   return out;

@@ -15,15 +15,19 @@
 //
 // Thread-safety: tables live in a hash-sharded cell map and each table's
 // data is an immutable copy-on-write snapshot (common::SnapshotCell).
-// Readers — Covers / RowsInRegion / CoveredRegions, the query hot path —
-// take ZERO locks: one atomic snapshot load and they walk a structure that
-// can never change underneath them. Each such call loads its own snapshot;
-// a reader that needs coverage and rows to agree (the executor) pins one
-// with Pin and reads both through it. Writers (Store, fed by market-call
-// results) serialize per table on a small writer mutex, rebuild the
-// affected parts of the snapshot, and publish with a release store. Row
-// chunks are shared between successive snapshots, so a Store copies O(views
-// + postings) bookkeeping but not the accumulated row payload. A monotonic
+// Readers — Covers / CoveredRegions and the pinned TableSnapshot, the query
+// hot path — take ZERO locks: one atomic snapshot load and they walk a
+// structure that can never change underneath them. Each Covers /
+// CoveredRegions call loads its own snapshot; a reader that needs coverage
+// and rows to agree (the executor) pins one with Pin and reads both through
+// it. Stored rows are read BY REFERENCE: TableSnapshot::RowsInRegion hands
+// out pointers into the pinned snapshot, valid for as long as it is held.
+// Writers (Store, fed by market-call results) serialize per table on a
+// small writer mutex, rebuild the affected parts of the snapshot, and
+// publish with a release store. Row chunks are shared between successive
+// snapshots, so a Store copies O(views + postings) bookkeeping but not the
+// accumulated row payload; it appends to a private copy of the open tail
+// chunk, so no row a snapshot references is ever written again. A monotonic
 // version counter ticks on every mutation; the plan-template cache keys on
 // it to invalidate cached plans whenever coverage — and hence SQR costs —
 // may have changed.
@@ -35,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -112,11 +117,6 @@ class SemanticStore {
   bool Covers(const catalog::TableDef& def, const Box& region,
               int64_t min_epoch) const;
 
-  /// Deduplicated stored tuples of `def` falling inside `region`, from
-  /// views no older than `min_epoch`. Lock-free.
-  std::vector<Row> RowsInRegion(const catalog::TableDef& def,
-                                const Box& region, int64_t min_epoch) const;
-
   /// Pins `table`'s current state. Reads through the returned snapshot all
   /// see that one state, so coverage checked through it always matches the
   /// rows read through it, even under a concurrent Store or DropTable.
@@ -181,9 +181,12 @@ class SemanticStore {
   static constexpr size_t kRowChunkShift = 8;
   static constexpr size_t kRowChunk = 1u << kRowChunkShift;  // 256 rows
 
+  /// Lattice points are stored flat, `num_dims` coordinates per row, so a
+  /// containment test reads one contiguous run instead of chasing a
+  /// per-row heap vector.
   struct RowChunk {
     std::vector<Row> rows;
-    std::vector<std::vector<int64_t>> points;  // lattice point per row
+    std::vector<int64_t> points;  // row i's point: [i * num_dims, +num_dims)
   };
 
   /// Immutable per-table snapshot: everything a reader needs, reachable
@@ -193,6 +196,7 @@ class SemanticStore {
     std::vector<Box> coverage;  // normalized merged maximal boxes
     std::vector<std::shared_ptr<const RowChunk>> chunks;  // dedup row pool
     size_t pooled_rows = 0;
+    size_t num_dims = 0;  // constrainable columns: coordinates per point
     /// postings[dim][code] -> pool indices of rows with that coordinate.
     /// Dimensions whose whole domain is a single lattice point are not
     /// posted (dim_posted[d] == 0): their one bucket would mirror the
@@ -207,8 +211,10 @@ class SemanticStore {
     const Row& PooledRow(size_t i) const {
       return chunks[i >> kRowChunkShift]->rows[i & (kRowChunk - 1)];
     }
-    const std::vector<int64_t>& PooledPoint(size_t i) const {
-      return chunks[i >> kRowChunkShift]->points[i & (kRowChunk - 1)];
+    std::span<const int64_t> PooledPoint(size_t i) const {
+      return {chunks[i >> kRowChunkShift]->points.data() +
+                  (i & (kRowChunk - 1)) * num_dims,
+              num_dims};
     }
   };
 
@@ -236,10 +242,11 @@ class SemanticStore {
   static bool IsCoveredUnder(const TableData& data, const Box& region,
                              int64_t min_epoch);
 
-  /// Stored tuples of one snapshot inside `region` (no probe accounting).
-  static std::vector<Row> RowsIn(const TableData& data,
-                                 const catalog::TableDef& def,
-                                 const Box& region, int64_t min_epoch);
+  /// Stored tuples of one snapshot inside `region`, by reference into
+  /// `data` (no probe accounting).
+  static std::vector<const Row*> RowsIn(const TableData& data,
+                                        const catalog::TableDef& def,
+                                        const Box& region, int64_t min_epoch);
 
   /// Classify one probe outcome into the table's and the store's counters
   /// (and the bound registry counters, when any).
@@ -259,13 +266,20 @@ class SemanticStore {
 
 /// One table's stored state at a single instant (see SemanticStore::Pin).
 /// Probes through it count in the store's hit/miss counters exactly like
-/// the store's own Covers / RowsInRegion.
+/// the store's own Covers.
 class SemanticStore::TableSnapshot {
  public:
   std::vector<Box> CoveredRegions(int64_t min_epoch) const;
   bool Covers(const Box& region, int64_t min_epoch) const;
-  std::vector<Row> RowsInRegion(const catalog::TableDef& def,
-                                const Box& region, int64_t min_epoch) const;
+
+  /// Deduplicated stored tuples of `def` falling inside `region`, from
+  /// views no older than `min_epoch`. The pointers reach into this pinned
+  /// snapshot: they stay valid, and their rows unchanged, for as long as
+  /// this snapshot (or a copy of it) lives, whatever Store / DropTable /
+  /// Clear run meanwhile. Lock-free.
+  std::vector<const Row*> RowsInRegion(const catalog::TableDef& def,
+                                       const Box& region,
+                                       int64_t min_epoch) const;
 
  private:
   friend class SemanticStore;

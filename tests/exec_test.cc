@@ -260,6 +260,77 @@ TEST_F(ExecTest, ThreeWayJoinMatchesOracle) {
       "AND Segment = 'gold' AND Day >= 9 AND Day <= 10");
 }
 
+TEST_F(ExecTest, LocalAccessReadsByReferenceAndLeavesTableUntouched) {
+  const std::string sql =
+      "SELECT Name FROM Names WHERE UserID >= 3 AND UserID <= 5";
+  const storage::Table* names = db_.FindTable("Names");
+  ASSERT_NE(names, nullptr);
+  const std::vector<Row> before = names->rows();
+  const Row* const storage_before = names->rows().data();
+
+  Result<storage::Table> got = Run(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  // The copying path: evaluate over a full copy of the local table.
+  const storage::Table copy = *names;
+  Result<storage::Table> copied = EvaluateLocally(BindSql(sql), {copy});
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_EQ(got->rows(), copied->rows());
+  ASSERT_EQ(got->num_rows(), 3u);
+  EXPECT_EQ(got->rows()[0][0], Value("user3"));
+
+  // Read in place: same rows, same storage, nothing appended or moved.
+  EXPECT_EQ(db_.FindTable("Names"), names);
+  EXPECT_EQ(names->rows().data(), storage_before);
+  EXPECT_EQ(names->rows(), before);
+}
+
+// The aggregate sink turns only the grouped and aggregated columns into
+// rows. Each case is checked against the oracle and against values worked
+// out from the fixture data by hand (Spend = 10 * UserID, gold iff
+// UserID % 3 == 0).
+TEST_F(ExecTest, NarrowAggregateCountStarAlone) {
+  const std::string sql = "SELECT COUNT(*) FROM Users WHERE Segment = 'gold'";
+  ExpectMatchesOracle(sql);
+  Result<storage::Table> got = Run(sql);  // now served from the store
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->num_rows(), 1u);
+  ASSERT_EQ(got->rows()[0].size(), 1u);
+  EXPECT_EQ(got->rows()[0][0], Value(int64_t{6}));
+}
+
+TEST_F(ExecTest, NarrowAggregateColumnGroupedAndAggregated) {
+  const std::string sql =
+      "SELECT Segment, COUNT(Segment), MAX(UserID), UserID "
+      "FROM Users WHERE UserID <= 6 GROUP BY Segment, UserID";
+  ExpectMatchesOracle(sql);
+  Result<storage::Table> got = Run(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->num_rows(), 6u);
+  for (const Row& row : got->rows()) {
+    ASSERT_EQ(row.size(), 4u);
+    const int64_t user = row[3].AsInt64();
+    EXPECT_EQ(row[0], Value(user % 3 == 0 ? "gold" : "silver"));
+    EXPECT_EQ(row[1], Value(int64_t{1}));
+    EXPECT_EQ(row[2], Value(user));
+  }
+}
+
+TEST_F(ExecTest, NarrowAggregateAvgAfterJoin) {
+  const std::string sql =
+      "SELECT Segment, AVG(Spend) FROM Names, Users "
+      "WHERE Names.UserID = Users.UserID AND Users.UserID <= 10 "
+      "GROUP BY Segment";
+  ExpectMatchesOracle(sql);
+  Result<storage::Table> got = Run(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->num_rows(), 2u);
+  for (const Row& row : got->rows()) {
+    // gold: users 3, 6, 9; silver: the other seven of 1..10 (sum 37).
+    const double want = row[0] == Value("gold") ? 60.0 : 370.0 / 7.0;
+    EXPECT_NEAR(row[1].AsDouble(), want, 1e-9) << RowToString(row);
+  }
+}
+
 TEST_F(ExecTest, PlanMustCoverAllRelations) {
   const sql::BoundQuery q = BindSql("SELECT * FROM Users");
   ExecutionEngine engine(&cat_, &db_, connector_.get(), &store_, &stats_);

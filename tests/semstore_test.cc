@@ -123,13 +123,14 @@ TEST_F(SemStoreTest, RowsInRegionFiltersAndDedups) {
                {MakeRow("x", 5, 1.0), MakeRow("x", 15, 2.0)}, 0);
   store_.Store(def(), Region(0, 10, 30),
                {MakeRow("x", 15, 2.0), MakeRow("x", 25, 3.0)}, 0);
-  const std::vector<Row> rows =
-      store_.RowsInRegion(def(), Region(0, 0, 99), kWeak);
+  const SemanticStore::TableSnapshot pinned = store_.Pin("T");
+  const std::vector<const Row*> rows =
+      pinned.RowsInRegion(def(), Region(0, 0, 99), kWeak);
   EXPECT_EQ(rows.size(), 3u);  // the duplicate (x,15) appears once
-  const std::vector<Row> narrow =
-      store_.RowsInRegion(def(), Region(0, 10, 20), kWeak);
+  const std::vector<const Row*> narrow =
+      pinned.RowsInRegion(def(), Region(0, 10, 20), kWeak);
   ASSERT_EQ(narrow.size(), 1u);
-  EXPECT_EQ(narrow[0][1], Value(int64_t{15}));
+  EXPECT_EQ((*narrow[0])[1], Value(int64_t{15}));
 }
 
 TEST_F(SemStoreTest, RowsInRegionUsesWidePathToo) {
@@ -139,7 +140,7 @@ TEST_F(SemStoreTest, RowsInRegionUsesWidePathToo) {
                  0);
   }
   const Box wide({Interval(0, 1), Interval(0, 99)});
-  EXPECT_EQ(store_.RowsInRegion(def(), wide, kWeak).size(), 80u);
+  EXPECT_EQ(store_.Pin("T").RowsInRegion(def(), wide, kWeak).size(), 80u);
 }
 
 TEST_F(SemStoreTest, EpochFilteringForXWeekConsistency) {
@@ -149,14 +150,16 @@ TEST_F(SemStoreTest, EpochFilteringForXWeekConsistency) {
   // min_epoch 3: only the newer view counts.
   EXPECT_FALSE(store_.Covers(def(), Region(0, 0, 9), 3));
   EXPECT_TRUE(store_.Covers(def(), Region(0, 10, 19), 3));
-  EXPECT_EQ(store_.RowsInRegion(def(), Region(0, 0, 19), 3).size(), 1u);
-  EXPECT_EQ(store_.RowsInRegion(def(), Region(0, 0, 19), 0).size(), 2u);
+  const SemanticStore::TableSnapshot pinned = store_.Pin("T");
+  EXPECT_EQ(pinned.RowsInRegion(def(), Region(0, 0, 19), 3).size(), 1u);
+  EXPECT_EQ(pinned.RowsInRegion(def(), Region(0, 0, 19), 0).size(), 2u);
 }
 
 TEST_F(SemStoreTest, EpochPathPrefersNewestDuplicate) {
   store_.Store(def(), Region(0, 0, 9), {MakeRow("x", 5, 1.0)}, 1);
   store_.Store(def(), Region(0, 0, 9), {MakeRow("x", 5, 1.0)}, 2);
-  EXPECT_EQ(store_.RowsInRegion(def(), Region(0, 0, 9), 0).size(), 1u);
+  EXPECT_EQ(store_.Pin("T").RowsInRegion(def(), Region(0, 0, 9), 0).size(),
+            1u);
 }
 
 TEST_F(SemStoreTest, Counters) {
@@ -167,7 +170,8 @@ TEST_F(SemStoreTest, Counters) {
   store_.Clear();
   EXPECT_EQ(store_.TotalViews(), 0u);
   EXPECT_TRUE(store_.CoveredRegions("T", kWeak).empty());
-  EXPECT_TRUE(store_.RowsInRegion(def(), Region(0, 0, 9), kWeak).empty());
+  EXPECT_TRUE(
+      store_.Pin("T").RowsInRegion(def(), Region(0, 0, 9), kWeak).empty());
 }
 
 TEST_F(SemStoreTest, CoversEmptyRegionTrivially) {
@@ -190,8 +194,9 @@ TEST_F(SemStoreTest, ProbeCountersClassifyEveryOutcome) {
   EXPECT_TRUE(store_.Covers(def(), Box({Interval::Empty(), Interval(0, 1)}),
                             kWeak));
   // Rows lookups are probes too: hit iff rows came back.
-  EXPECT_FALSE(store_.RowsInRegion(def(), Region(0, 0, 9), kWeak).empty());
-  EXPECT_TRUE(store_.RowsInRegion(def(), Region(1, 0, 9), kWeak).empty());
+  const SemanticStore::TableSnapshot pinned = store_.Pin("T");
+  EXPECT_FALSE(pinned.RowsInRegion(def(), Region(0, 0, 9), kWeak).empty());
+  EXPECT_TRUE(pinned.RowsInRegion(def(), Region(1, 0, 9), kWeak).empty());
 
   EXPECT_EQ(store_.TotalProbes(), 6);
   EXPECT_EQ(store_.TotalHits(), 3);

@@ -119,8 +119,10 @@ TEST_F(ShardStressTest, ConcurrentStoreAndProbeAcrossShards) {
         if (i % 2 == 0) {
           (void)store_.Covers(def(t), SlabRegion(s), kWeak);
         } else {
-          const std::vector<Row> rows =
-              store_.RowsInRegion(def(t), SlabRegion(s), kWeak);
+          const SemanticStore::TableSnapshot pinned =
+              store_.Pin(TableName(t));
+          const std::vector<const Row*> rows =
+              pinned.RowsInRegion(def(t), SlabRegion(s), kWeak);
           // A slab is all-or-nothing: stores are atomic snapshot swaps.
           EXPECT_TRUE(rows.empty() || rows.size() == 32u);
         }
@@ -144,7 +146,9 @@ TEST_F(ShardStressTest, ConcurrentStoreAndProbeAcrossShards) {
               static_cast<size_t>(kSlabsPerTable));
     for (int64_t s = 0; s < kSlabsPerTable; ++s) {
       EXPECT_TRUE(store_.Covers(def(t), SlabRegion(s), kWeak));
-      EXPECT_EQ(store_.RowsInRegion(def(t), SlabRegion(s), kWeak).size(),
+      EXPECT_EQ(store_.Pin(TableName(t))
+                    .RowsInRegion(def(t), SlabRegion(s), kWeak)
+                    .size(),
                 32u);
     }
   }
@@ -175,7 +179,9 @@ TEST_F(ShardStressTest, DuplicateHarvestsPoolOnce) {
   EXPECT_EQ(pooled, static_cast<size_t>(8 * 4 * 32));
   for (int t = 0; t < 8; ++t) {
     for (int64_t s = 0; s < 4; ++s) {
-      EXPECT_EQ(store_.RowsInRegion(def(t), SlabRegion(s), kWeak).size(),
+      EXPECT_EQ(store_.Pin(TableName(t))
+                    .RowsInRegion(def(t), SlabRegion(s), kWeak)
+                    .size(),
                 32u);
     }
   }
@@ -221,6 +227,73 @@ TEST_F(ShardStressTest, EvictionUnderConcurrentHarvest) {
   for (int64_t s = 0; s < 16; ++s) {
     EXPECT_TRUE(store_.Covers(def(0), SlabRegion(s), kWeak));
   }
+}
+
+TEST_F(ShardStressTest, PinnedRowPointersSurviveConcurrentStoreAndDrop) {
+  // Rows read through a pinned snapshot are references into it: while the
+  // snapshot is held they must stay valid and unchanged, however the table
+  // is grown (Store appends into the pool's open chunk) or evicted
+  // (DropTable) meanwhile. Readers re-pin and check as writers churn; under
+  // ASan a dangling pointer and under TSan a write to a referenced row fail
+  // the test.
+  const Box all({Interval(1, kKeys), Interval(1, 8)});
+  for (int64_t s = 0; s < 4; ++s) {
+    store_.Store(def(0), SlabRegion(s), SlabRows(s), /*epoch=*/0);
+  }
+  const SemanticStore::TableSnapshot first = store_.Pin(TableName(0));
+  const std::vector<const Row*> first_rows =
+      first.RowsInRegion(def(0), all, kWeak);
+  ASSERT_EQ(first_rows.size(), 4u * 32u);
+  std::vector<Row> first_copy;
+  for (const Row* row : first_rows) first_copy.push_back(*row);
+
+  // A row of SlabRows is (K, D, K * 10 + D): self-checking.
+  const auto intact = [](const Row& row) {
+    return row.size() == 3 &&
+           row[2] == Value(static_cast<double>(row[0].AsInt64() * 10 +
+                                               row[1].AsInt64()));
+  };
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      uint64_t rng = 0xd209 + static_cast<uint64_t>(w);
+      while (!stop.load(std::memory_order_acquire)) {
+        rng = Mix(rng);
+        const int64_t s = static_cast<int64_t>(rng % 64);
+        if (w == 1 && rng % 4 == 0) {
+          store_.DropTable(TableName(0));
+        } else {
+          store_.Store(def(0), SlabRegion(s), SlabRows(s), /*epoch=*/0);
+        }
+      }
+    });
+  }
+  std::vector<std::thread> readers;
+  std::atomic<int64_t> checked{0};
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 300; ++i) {
+        const SemanticStore::TableSnapshot pinned = store_.Pin(TableName(0));
+        const std::vector<const Row*> rows =
+            pinned.RowsInRegion(def(0), all, kWeak);
+        std::this_thread::yield();  // let writers publish past this pin
+        for (const Row* row : rows) EXPECT_TRUE(intact(*row));
+        checked.fetch_add(static_cast<int64_t>(rows.size()),
+                          std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  // The first pin outlived every Store and DropTable above.
+  for (size_t i = 0; i < first_rows.size(); ++i) {
+    EXPECT_EQ(*first_rows[i], first_copy[i]) << "row " << i;
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : writers) t.join();
+  EXPECT_GT(checked.load(), 0);
+  EXPECT_EQ(store_.TotalHits() + store_.TotalMisses(), store_.TotalProbes());
 }
 
 TEST_F(ShardStressTest, ConcurrentFeedbackAndEstimates) {
