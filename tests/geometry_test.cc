@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "common/binio.h"
 #include "common/rng.h"
 
 namespace payless {
@@ -85,6 +90,67 @@ TEST(BoxTest, IntersectComponentWise) {
   const Box a({Interval(0, 10), Interval(0, 10)});
   const Box b({Interval(5, 15), Interval(-5, 5)});
   EXPECT_EQ(a.Intersect(b), Box({Interval(5, 10), Interval(0, 5)}));
+}
+
+// Boxes of up to four dimensions keep their intervals inline and wider ones
+// spill to the heap; both sides of that boundary, and the unit box, must
+// behave the same under every operation.
+TEST(BoxTest, InlineAndSpilledBoxesBehaveAlike) {
+  for (const size_t n : {size_t{0}, size_t{4}, size_t{5}}) {
+    SCOPED_TRACE(n);
+    std::vector<Interval> wide, narrow;
+    for (size_t d = 0; d < n; ++d) {
+      const int64_t base = static_cast<int64_t>(d) * 10;
+      wide.emplace_back(base, base + 9);
+      narrow.emplace_back(base + 2, base + 4);
+    }
+    const Box a(wide);
+    const Box b(narrow);
+    ASSERT_EQ(a.num_dims(), n);
+
+    Box copy = a;  // copy construction
+    EXPECT_EQ(copy, a);
+    Box assigned(narrow);
+    assigned = a;  // copy assignment over a box of the same size
+    EXPECT_EQ(assigned, a);
+    Box moved = std::move(copy);  // move construction
+    EXPECT_EQ(moved, a);
+    Box move_assigned;
+    move_assigned = std::move(moved);  // move assignment into a 0-d box
+    EXPECT_EQ(move_assigned, a);
+    move_assigned = b;  // and back over a box of the same size
+    EXPECT_EQ(move_assigned, b);
+
+    EXPECT_EQ(a.Intersect(b), b);
+    EXPECT_TRUE(a.Contains(b));
+    EXPECT_EQ(b.Contains(a), n == 0);
+    EXPECT_EQ(a.Volume(), n == 0 ? 1 : static_cast<int64_t>(std::pow(10, n)));
+    EXPECT_EQ(b.Volume(), n == 0 ? 1 : static_cast<int64_t>(std::pow(3, n)));
+    std::vector<int64_t> point(n);
+    for (size_t d = 0; d < n; ++d) point[d] = static_cast<int64_t>(d) * 10 + 3;
+    EXPECT_TRUE(a.Contains(point));
+    EXPECT_TRUE(b.Contains(point));
+    if (n > 0) {
+      Box changed = a;
+      changed.dim(n - 1) = Interval(500, 600);
+      EXPECT_FALSE(changed == a);
+      EXPECT_TRUE(a.Intersect(changed).empty());
+      EXPECT_EQ(a.Intersect(changed).num_dims(), n);
+      EXPECT_EQ(a.dims().size(), n);
+      EXPECT_EQ(a.dims()[n - 1], Interval(static_cast<int64_t>(n - 1) * 10,
+                                          static_cast<int64_t>(n - 1) * 10 + 9));
+    }
+
+    std::string bytes;
+    common::BinWriter writer(&bytes);
+    common::WriteBox(writer, a);
+    EXPECT_EQ(bytes.size(), 4 + 16 * n);
+    common::BinReader reader(bytes);
+    Box read({Interval(1, 1)});
+    ASSERT_TRUE(common::ReadBox(reader, &read));
+    EXPECT_EQ(read, a);
+    EXPECT_EQ(read.num_dims(), n);
+  }
 }
 
 TEST(SubtractBoxTest, DisjointLeavesOriginal) {

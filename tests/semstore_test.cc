@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <optional>
+#include <random>
+#include <set>
+#include <string>
 
 namespace payless::semstore {
 namespace {
@@ -245,6 +250,158 @@ TEST_F(SemStoreTest, SnapshotStatsSummarizesCoverage) {
   EXPECT_NE(json.find("\"tables\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"T\""), std::string::npos) << json;
   EXPECT_NE(json.find("covered_fraction"), std::string::npos) << json;
+}
+
+// Seeded differential check of the row pool against a naive model: a random
+// sequence of Store calls on a 3-dimension table whose third dimension is a
+// single lattice point. Calls overlap, nest and repeat; some rows repeat
+// within a call, some lie outside their call's region and some outside the
+// domain; the table is dropped partway through. After every Store the pool
+// size, both read paths and the order of the weak-path output are checked.
+TEST_F(SemStoreTest, RandomStoresMatchNaiveScan) {
+  TableDef pdef;
+  pdef.name = "P";
+  pdef.dataset = "D";
+  pdef.columns = {
+      ColumnDef::Free("a", ValueType::kInt64, AttrDomain::Numeric(0, 119)),
+      ColumnDef::Free("b", ValueType::kInt64, AttrDomain::Numeric(0, 119)),
+      ColumnDef::Free("s", ValueType::kInt64, AttrDomain::Numeric(7, 7)),
+      ColumnDef::Output("v", ValueType::kInt64)};
+  ASSERT_TRUE(cat_.RegisterTable(pdef).ok());
+  const TableDef& p = *cat_.FindTable("P");
+
+  std::mt19937_64 rng(20261019);
+  const auto pick = [&](int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  const auto random_interval = [&](int64_t max_width) {
+    const int64_t width = pick(1, max_width);
+    const int64_t lo = pick(0, 120 - width);
+    return Interval(lo, lo + width - 1);
+  };
+  // Two rows may share a point but differ in `v`. Integer values keep
+  // RowToString exact, so it serves as the naive model's row key.
+  const auto make_row = [](int64_t a, int64_t b, int64_t variant) {
+    return Row{Value(a), Value(b), Value(int64_t{7}),
+               Value((a * 1000 + b) * 2 + variant)};
+  };
+
+  std::vector<Box> past;
+  std::vector<std::vector<Row>> past_rows;
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a over weak-path output
+  const auto mix = [&](const std::string& text) {
+    for (const char ch : text) {
+      digest ^= static_cast<unsigned char>(ch);
+      digest *= 1099511628211ull;
+    }
+  };
+  constexpr int kStores = 400;
+  for (int step = 0; step < kStores; ++step) {
+    if (step == kStores / 2) {
+      store_.DropTable("P");
+      ASSERT_EQ(store_.NumViews("P"), 0u);
+    }
+    Box region;
+    std::vector<Row> rows;
+    const uint64_t kind = rng() % 10;
+    if (kind == 0 && !past.empty()) {  // repeat an earlier call exactly
+      const size_t i = static_cast<size_t>(rng() % past.size());
+      region = past[i];
+      rows = past_rows[i];
+    } else {
+      if (kind <= 2 && !past.empty()) {  // nest inside an earlier region
+        const Box& outer = past[static_cast<size_t>(rng() % past.size())];
+        const auto inner = [&](const Interval& iv) {
+          const int64_t lo = pick(iv.lo, iv.hi);
+          return Interval(lo, pick(lo, iv.hi));
+        };
+        region = Box({inner(outer.dim(0)), inner(outer.dim(1)),
+                      Interval::Point(7)});
+      } else {
+        region = Box({random_interval(kind == 3 ? 100 : 12),
+                      random_interval(kind == 4 ? 90 : 10),
+                      Interval::Point(7)});
+      }
+      const int64_t n = pick(0, 40);
+      for (int64_t r = 0; r < n; ++r) {
+        const uint64_t shape = rng() % 20;
+        int64_t a = pick(region.dim(0).lo, region.dim(0).hi);
+        int64_t b = pick(region.dim(1).lo, region.dim(1).hi);
+        if (shape == 0) {  // a point outside the call's region
+          a = pick(0, 119);
+          b = pick(0, 119);
+        } else if (shape == 1) {  // outside the domain: never pooled
+          b = 500;
+        }
+        rows.push_back(make_row(a, b, static_cast<int64_t>(rng() % 2)));
+        if (shape == 2) rows.push_back(rows.back());  // in-call duplicate
+      }
+      past.push_back(region);
+      past_rows.push_back(rows);
+    }
+    const int64_t epoch = pick(0, 5);
+    store_.Store(p, region, rows, epoch);
+
+    // Naive model: every encodable row of the views, read once per step.
+    struct ViewRow {
+      const StoredView* view;
+      std::vector<int64_t> point;
+      std::string key;
+    };
+    const std::vector<StoredView> views = store_.ViewsOf("P");
+    std::vector<ViewRow> view_rows;
+    std::set<std::string> distinct;
+    for (const StoredView& view : views) {
+      for (const Row& row : view.rows) {
+        std::optional<std::vector<int64_t>> point = RowPoint(p, row);
+        if (!point.has_value()) continue;
+        view_rows.push_back({&view, std::move(*point), RowToString(row)});
+        distinct.insert(view_rows.back().key);
+      }
+    }
+    const std::vector<StoreTableStats> stats = store_.SnapshotStats();
+    const auto it = std::find_if(
+        stats.begin(), stats.end(),
+        [](const StoreTableStats& t) { return t.table == "P"; });
+    ASSERT_NE(it, stats.end());
+    ASSERT_EQ(it->pooled_rows, distinct.size()) << "step " << step;
+
+    // The weak path reads the whole pool; the epoch path reads only views
+    // whose region overlaps the query, so it misses a row lying outside
+    // its own view's region when that region misses the query.
+    const auto naive = [&](const Box& query, int64_t min_epoch) {
+      std::set<std::string> out;
+      for (const ViewRow& row : view_rows) {
+        if (row.view->epoch < min_epoch) continue;
+        if (min_epoch != kWeak && !row.view->region.Overlaps(query)) continue;
+        if (query.Contains(row.point)) out.insert(row.key);
+      }
+      return std::multiset<std::string>(out.begin(), out.end());
+    };
+    const auto as_set = [](const std::vector<const Row*>& rows_out) {
+      std::multiset<std::string> out;
+      for (const Row* row : rows_out) out.insert(RowToString(*row));
+      return out;
+    };
+    // Narrow (posting-indexed) and wide (full-scan) queries.
+    const Box queries[] = {
+        Box({random_interval(20), random_interval(50), Interval::Point(7)}),
+        Box({random_interval(120), random_interval(8), Interval::Point(7)}),
+        Box({random_interval(100), random_interval(100), Interval::Point(7)}),
+        Box({Interval(0, 119), Interval(0, 119), Interval::Point(7)})};
+    const SemanticStore::TableSnapshot pinned = store_.Pin("P");
+    for (const Box& query : queries) {
+      const std::vector<const Row*> weak =
+          pinned.RowsInRegion(p, query, kWeak);
+      ASSERT_EQ(as_set(weak), naive(query, kWeak)) << "step " << step;
+      const std::vector<const Row*> recent =
+          pinned.RowsInRegion(p, query, /*min_epoch=*/3);
+      ASSERT_EQ(as_set(recent), naive(query, 3)) << "step " << step;
+      for (const Row* row : weak) mix(RowToString(*row) + ";");
+      mix("|");
+    }
+  }
+  EXPECT_EQ(digest, 9199903538016658572ull);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <string>
+
 #include "common/rng.h"
 
 namespace payless::stats {
@@ -205,6 +209,57 @@ TEST(StatsRegistryTest, RegisterIsIdempotent) {
   registry.Feedback("T", Box({Interval(0, 4)}), 7);
   registry.RegisterTable(*cat.FindTable("T"));  // must not reset learning
   EXPECT_DOUBLE_EQ(registry.EstimateRows("T", Box({Interval(0, 4)})), 7.0);
+}
+
+// A seeded run of 200 feedbacks on a 3-dimension histogram must give the
+// same estimate doubles, bit for bit, and the same durability bytes as the
+// recorded run: the box representation may change, the arithmetic and the
+// snapshot format may not.
+TEST(FeedbackHistogramTest, SeededFeedbackIsBitIdentical) {
+  const Box full({Interval(0, 49), Interval(0, 29), Interval(0, 9)});
+  FeedbackHistogram hist(full, 10000);
+  std::mt19937_64 rng(16);
+  const auto pick = [&](int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  const auto random_box = [&] {
+    const auto iv = [&](int64_t max) {
+      const int64_t lo = pick(-2, max);
+      return Interval(lo, pick(lo, max + 2));
+    };
+    return Box({iv(49), iv(29), iv(9)});
+  };
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a
+  const auto mix = [&](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      digest ^= bytes[i];
+      digest *= 1099511628211ull;
+    }
+  };
+  for (int i = 0; i < 200; ++i) {
+    hist.Feedback(random_box(), pick(0, 3000));
+    for (int q = 0; q < 3; ++q) {
+      const double estimate = hist.EstimateRows(random_box());
+      uint64_t bits = 0;
+      std::memcpy(&bits, &estimate, sizeof(bits));
+      mix(&bits, sizeof(bits));
+    }
+  }
+  EXPECT_EQ(digest, 16717159695367954355ull);
+
+  std::string saved;
+  common::BinWriter writer(&saved);
+  hist.SaveState(writer);
+  std::string cloned;
+  common::BinWriter clone_writer(&cloned);
+  hist.Clone()->SaveState(clone_writer);
+  EXPECT_EQ(cloned, saved);
+  digest = 1469598103934665603ull;
+  mix(saved.data(), saved.size());
+  EXPECT_EQ(saved.size(), 247572u);
+  EXPECT_EQ(digest, 5556250607472224971ull);
+  EXPECT_EQ(hist.num_buckets(), 4125u);
 }
 
 // Parameterized sweep: feedback is idempotent — repeating the same
