@@ -1,5 +1,6 @@
 #include "common/geometry.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <sstream>
@@ -25,7 +26,7 @@ std::string Interval::ToString() const {
 }
 
 bool Box::empty() const {
-  for (const Interval& iv : dims_) {
+  for (const Interval& iv : dims()) {
     if (iv.empty()) return true;
   }
   return false;
@@ -34,29 +35,29 @@ bool Box::empty() const {
 bool Box::Contains(const Box& other) const {
   assert(num_dims() == other.num_dims());
   if (other.empty()) return true;
-  for (size_t i = 0; i < dims_.size(); ++i) {
-    if (!dims_[i].Contains(other.dims_[i])) return false;
+  for (size_t i = 0; i < size_; ++i) {
+    if (!dim(i).Contains(other.dim(i))) return false;
   }
   return true;
 }
 
 bool Box::Overlaps(const Box& other) const {
   assert(num_dims() == other.num_dims());
-  if (dims_.empty()) return true;  // zero-dimensional unit regions overlap
-  for (size_t i = 0; i < dims_.size(); ++i) {
-    if (!dims_[i].Overlaps(other.dims_[i])) return false;
+  if (size_ == 0) return true;  // zero-dimensional unit regions overlap
+  for (size_t i = 0; i < size_; ++i) {
+    if (!dim(i).Overlaps(other.dim(i))) return false;
   }
   return true;
 }
 
 Box Box::Intersect(const Box& other) const {
   assert(num_dims() == other.num_dims());
-  std::vector<Interval> out;
-  out.reserve(dims_.size());
-  for (size_t i = 0; i < dims_.size(); ++i) {
-    out.push_back(dims_[i].Intersect(other.dims_[i]));
+  Box out;
+  out.Resize(size_);
+  for (size_t i = 0; i < size_; ++i) {
+    out.dim(i) = dim(i).Intersect(other.dim(i));
   }
-  return Box(std::move(out));
+  return out;
 }
 
 int64_t Box::Volume() const {
@@ -65,7 +66,7 @@ int64_t Box::Volume() const {
   unsigned __int128 volume = 1;
   const unsigned __int128 kMax =
       static_cast<unsigned __int128>(std::numeric_limits<int64_t>::max());
-  for (const Interval& iv : dims_) {
+  for (const Interval& iv : dims()) {
     volume *= static_cast<unsigned __int128>(iv.Width());
     if (volume >= kMax) return std::numeric_limits<int64_t>::max();
   }
@@ -75,14 +76,14 @@ int64_t Box::Volume() const {
 bool Box::operator==(const Box& other) const {
   if (num_dims() != other.num_dims()) return false;
   if (empty() || other.empty()) return empty() == other.empty();
-  return dims_ == other.dims_;
+  return std::equal(dims().begin(), dims().end(), other.dims().begin());
 }
 
 std::string Box::ToString() const {
   std::string out = "{";
-  for (size_t i = 0; i < dims_.size(); ++i) {
+  for (size_t i = 0; i < size_; ++i) {
     if (i > 0) out += " x ";
-    out += dims_[i].ToString();
+    out += dim(i).ToString();
   }
   out += "}";
   return out;

@@ -8,8 +8,11 @@
 #ifndef PAYLESS_COMMON_GEOMETRY_H_
 #define PAYLESS_COMMON_GEOMETRY_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,15 +59,48 @@ struct Interval {
 /// Axis-aligned box: one interval per dimension. A zero-dimensional box is
 /// the unit region (non-empty, volume 1) — it arises for tables whose access
 /// pattern has no constrainable attribute.
+///
+/// The intervals live inline for up to kInlineDims dimensions — the most
+/// constrainable columns of any workload table — so copying, intersecting
+/// and passing boxes by value allocates nothing; wider boxes spill to one
+/// heap array.
 class Box {
  public:
-  Box() = default;
-  explicit Box(std::vector<Interval> dims) : dims_(std::move(dims)) {}
+  static constexpr size_t kInlineDims = 4;
 
-  size_t num_dims() const { return dims_.size(); }
-  const Interval& dim(size_t i) const { return dims_[i]; }
-  Interval& dim(size_t i) { return dims_[i]; }
-  const std::vector<Interval>& dims() const { return dims_; }
+  Box() = default;
+  Box(std::initializer_list<Interval> dims)
+      : Box(std::span<const Interval>(dims.begin(), dims.size())) {}
+  explicit Box(std::span<const Interval> dims) {
+    Resize(dims.size());
+    std::copy(dims.begin(), dims.end(), data());
+  }
+  Box(const Box& other) : Box(other.dims()) {}
+  Box(Box&& other) noexcept { *this = std::move(other); }
+  Box& operator=(const Box& other) {
+    if (this != &other) {
+      Resize(other.size_);
+      std::copy(other.dims().begin(), other.dims().end(), data());
+    }
+    return *this;
+  }
+  Box& operator=(Box&& other) noexcept {
+    if (this == &other) return *this;
+    if (other.heap_ != nullptr) {
+      heap_ = std::move(other.heap_);
+    } else {
+      heap_.reset();
+      std::copy(other.inline_, other.inline_ + other.size_, inline_);
+    }
+    size_ = other.size_;
+    other.size_ = 0;
+    return *this;
+  }
+
+  size_t num_dims() const { return size_; }
+  const Interval& dim(size_t i) const { return data()[i]; }
+  Interval& dim(size_t i) { return data()[i]; }
+  std::span<const Interval> dims() const { return {data(), size_}; }
 
   /// Empty iff any dimension's interval is empty.
   bool empty() const;
@@ -74,8 +110,9 @@ class Box {
   /// tests thousands of pooled points per read with it.
   bool Contains(std::span<const int64_t> point) const {
     assert(num_dims() == point.size());
-    for (size_t i = 0; i < dims_.size(); ++i) {
-      if (!dims_[i].Contains(point[i])) return false;
+    const Interval* dims = data();
+    for (size_t i = 0; i < size_; ++i) {
+      if (!dims[i].Contains(point[i])) return false;
     }
     return true;
   }
@@ -93,7 +130,25 @@ class Box {
   std::string ToString() const;
 
  private:
-  std::vector<Interval> dims_;
+  const Interval* data() const {
+    return heap_ != nullptr ? heap_.get() : inline_;
+  }
+  Interval* data() { return heap_ != nullptr ? heap_.get() : inline_; }
+
+  /// Sets the dimension count, keeping the current storage when it fits.
+  /// Interval values are left unspecified.
+  void Resize(size_t n) {
+    if (n > kInlineDims && (heap_ == nullptr || n != size_)) {
+      heap_ = std::make_unique<Interval[]>(n);
+    } else if (n <= kInlineDims) {
+      heap_.reset();
+    }
+    size_ = n;
+  }
+
+  size_t size_ = 0;
+  Interval inline_[kInlineDims];
+  std::unique_ptr<Interval[]> heap_;  // set iff size_ > kInlineDims
 };
 
 /// Computes `a \ b` as a set of DISJOINT boxes whose union is exactly the

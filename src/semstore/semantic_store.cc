@@ -1,6 +1,7 @@
 #include "semstore/semantic_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -109,14 +110,159 @@ void SemanticStore::AddCoverage(std::vector<Box>* coverage, Box region) {
   list.push_back(std::move(region));
 }
 
-void SemanticStore::Store(const catalog::TableDef& def, Box region,
-                          std::vector<Row> rows, int64_t epoch) {
-  if (region.empty()) return;
+std::pair<size_t, size_t> SemanticStore::PostingRun::Range(int64_t lo,
+                                                           int64_t hi) const {
+  // Codes are distinct integers, so at most hi - lo + 1 of them follow
+  // `first`: callers pass narrow ranges, and a short forward scan beats a
+  // second binary search.
+  const size_t first = static_cast<size_t>(
+      std::lower_bound(codes.begin(), codes.end(), lo) - codes.begin());
+  size_t last = first;
+  while (last < codes.size() && codes[last] <= hi) ++last;
+  return {first, last};
+}
+
+std::shared_ptr<const SemanticStore::PostingRun>
+SemanticStore::PostingRun::FromSorted(
+    std::span<const std::pair<int64_t, uint32_t>> pairs) {
+  auto run = std::make_shared<PostingRun>();
+  run->indices.reserve(pairs.size());
+  for (const auto& [code, index] : pairs) {
+    if (run->codes.empty() || run->codes.back() != code) {
+      run->codes.push_back(code);
+      run->offsets.push_back(static_cast<uint32_t>(run->indices.size()));
+    }
+    run->indices.push_back(index);
+  }
+  run->offsets.push_back(static_cast<uint32_t>(run->indices.size()));
+  return run;
+}
+
+std::shared_ptr<const SemanticStore::PostingRun>
+SemanticStore::PostingRun::Merge(const PostingRun& older,
+                                 const PostingRun& newer) {
+  auto run = std::make_shared<PostingRun>();
+  run->codes.reserve(older.codes.size() + newer.codes.size());
+  run->offsets.reserve(older.codes.size() + newer.codes.size() + 1);
+  run->indices.reserve(older.indices.size() + newer.indices.size());
+  const auto take = [&](const PostingRun& from, size_t k) {
+    run->indices.insert(run->indices.end(),
+                        from.indices.begin() + from.offsets[k],
+                        from.indices.begin() + from.offsets[k + 1]);
+  };
+  size_t a = 0, b = 0;
+  while (a < older.codes.size() || b < newer.codes.size()) {
+    const bool from_older =
+        b == newer.codes.size() ||
+        (a < older.codes.size() && older.codes[a] <= newer.codes[b]);
+    const int64_t code = from_older ? older.codes[a] : newer.codes[b];
+    run->codes.push_back(code);
+    run->offsets.push_back(static_cast<uint32_t>(run->indices.size()));
+    if (a < older.codes.size() && older.codes[a] == code) take(older, a++);
+    if (b < newer.codes.size() && newer.codes[b] == code) take(newer, b++);
+  }
+  run->offsets.push_back(static_cast<uint32_t>(run->indices.size()));
+  return run;
+}
+
+void SemanticStore::AddRun(PostingRuns* runs,
+                           std::shared_ptr<const PostingRun> run) {
+  runs->push_back(std::move(run));
+  while (runs->size() >= 2 && (*runs)[runs->size() - 2]->indices.size() <=
+                                  2 * runs->back()->indices.size()) {
+    std::shared_ptr<const PostingRun> merged =
+        PostingRun::Merge(*(*runs)[runs->size() - 2], *runs->back());
+    runs->pop_back();
+    runs->back() = std::move(merged);
+  }
+}
+
+bool SemanticStore::IsPooled(const TableData& data,
+                             std::span<const int64_t> point, const Row& row) {
+  const auto same = [&](size_t i) {
+    const std::span<const int64_t> pooled = data.PooledPoint(i);
+    return std::equal(pooled.begin(), pooled.end(), point.begin()) &&
+           data.PooledRow(i) == row;
+  };
+  // A pooled copy of `row` is posted under every one of its coordinates, so
+  // the smallest posting of its point decides (an empty one on any posted
+  // dimension means absent).
+  size_t best_dim = data.postings.size();
+  size_t best_count = std::numeric_limits<size_t>::max();
+  for (size_t d = 0; d < data.postings.size(); ++d) {
+    if (data.dim_posted[d] == 0) continue;
+    size_t count = 0;
+    for (const auto& run : data.postings[d]) {
+      count += run->Count(run->Range(point[d], point[d]));
+    }
+    if (count == 0) return false;
+    if (count < best_count) {
+      best_count = count;
+      best_dim = d;
+    }
+  }
+  if (best_dim == data.postings.size()) {  // no posted dimension: scan
+    for (size_t i = 0; i < data.pooled_rows; ++i) {
+      if (same(i)) return true;
+    }
+    return false;
+  }
+  for (const auto& run : data.postings[best_dim]) {
+    const auto [first, last] = run->Range(point[best_dim], point[best_dim]);
+    for (uint32_t k = run->offsets[first]; k < run->offsets[last]; ++k) {
+      if (same(run->indices[k])) return true;
+    }
+  }
+  return false;
+}
+
+void SemanticStore::Store(const catalog::TableDef& def, Box call_region,
+                          std::vector<Row> call_rows, int64_t epoch) {
+  if (call_region.empty()) return;
+  // The view owns the call's rows; the pool points into it.
+  const auto view = std::make_shared<const StoredView>(
+      StoredView{std::move(call_region), std::move(call_rows), epoch});
+  const Box& region = view->region;
+  const std::vector<Row>& rows = view->rows;
   const std::shared_ptr<TableCell> cell = cells_.GetOrCreate(def.name);
   std::lock_guard<std::mutex> lock(cell->write_mutex);
 
   const std::shared_ptr<const TableData> old = cell->data.Load();
-  auto next = std::make_shared<TableData>(*old);  // shares row chunks
+  // Shares row chunks, posting runs and stray points with `old`.
+  auto next = std::make_shared<TableData>(*old);
+
+  const std::vector<size_t> dims = def.ConstrainableColumns();
+  const size_t num_dims = dims.size();
+  // Coverage-guided dedup. A pooled point lies in the region of the call
+  // that pooled it, hence in the old coverage, or is a stray point. A row
+  // whose point lies inside `region` can therefore already be pooled only
+  // if the point lies in an old coverage box overlapping `region` or is a
+  // stray point inside `region`; only those rows, and rows outside
+  // `region`, are probed. A call disjoint from the coverage probes nothing.
+  std::vector<Box> probe_boxes;
+  for (const Box& box : old->coverage) {
+    if (box.Overlaps(region)) probe_boxes.push_back(box);
+  }
+  if (old->stray_points != nullptr) {
+    const std::vector<int64_t>& strays = *old->stray_points;
+    for (size_t i = 0; i < strays.size(); i += num_dims) {
+      const std::span<const int64_t> stray(strays.data() + i, num_dims);
+      if (!region.Contains(stray)) continue;
+      Box point_box = region;
+      for (size_t d = 0; d < num_dims; ++d) {
+        point_box.dim(d) = Interval::Point(stray[d]);
+      }
+      probe_boxes.push_back(std::move(point_box));
+    }
+  }
+  const auto may_be_pooled = [&](std::span<const int64_t> point) {
+    if (!region.Contains(point)) return true;
+    for (const Box& box : probe_boxes) {
+      if (box.Contains(point)) return true;
+    }
+    return false;
+  };
+
   AddCoverage(&next->coverage, region);
   if (next->domain_volume == 0) next->domain_volume = DomainVolume(def);
   for (const Row& row : rows) next->approx_bytes += ApproxRowBytes(row);
@@ -127,9 +273,6 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
     next->min_epoch = std::min(next->min_epoch, epoch);
     next->max_epoch = std::max(next->max_epoch, epoch);
   }
-
-  const std::vector<size_t> dims = def.ConstrainableColumns();
-  const size_t num_dims = dims.size();
   if (next->postings.empty()) {
     next->num_dims = num_dims;
     next->postings.resize(num_dims);
@@ -139,75 +282,76 @@ void SemanticStore::Store(const catalog::TableDef& def, Box region,
           def.columns[dims[d]].domain.ToInterval().Width() > 1 ? 1 : 0;
     }
   }
-  // Duplicate probe against the postings under construction: a pooled copy
-  // of `row` would be posted under every one of its coordinates, so the
-  // smallest bucket of its point decides (empty bucket on any posted dim
-  // means absent). In-batch duplicates are caught too — postings grow as
-  // the batch appends. No hashed seen-set, no second copy of the pool.
-  const auto same_point = [](std::span<const int64_t> a,
-                             std::span<const int64_t> b) {
-    return std::equal(a.begin(), a.end(), b.begin());
+
+  // Duplicates within the call: open-addressing set of positions in `rows`
+  // (1 + position; 0 is free) of the first copy of each encodable row.
+  const size_t num_slots = std::bit_ceil(2 * rows.size() + 2);
+  std::vector<uint32_t> slots(num_slots, 0);
+  const auto first_in_call = [&](uint32_t pos) {
+    size_t s = common::SplitMix64(HashRow(rows[pos])) & (num_slots - 1);
+    for (; slots[s] != 0; s = (s + 1) & (num_slots - 1)) {
+      if (rows[slots[s] - 1] == rows[pos]) return false;
+    }
+    slots[s] = pos + 1;
+    return true;
   };
-  const auto pooled_duplicate = [&](std::span<const int64_t> point,
-                                    const Row& row) {
-    const std::vector<uint32_t>* bucket = nullptr;
-    for (size_t d = 0; d < num_dims; ++d) {
-      if (next->dim_posted[d] == 0) continue;
-      const auto it = next->postings[d].find(point[d]);
-      if (it == next->postings[d].end() || it->second.empty()) return false;
-      if (bucket == nullptr || it->second.size() < bucket->size()) {
-        bucket = &it->second;
-      }
-    }
-    if (bucket == nullptr) {  // no discriminating dimension: scan the pool
-      for (size_t i = 0; i < next->pooled_rows; ++i) {
-        if (same_point(next->PooledPoint(i), point) &&
-            next->PooledRow(i) == row) {
-          return true;
-        }
-      }
-      return false;
-    }
-    for (const uint32_t i : *bucket) {
-      if (same_point(next->PooledPoint(i), point) &&
-          next->PooledRow(i) == row) {
-        return true;
-      }
-    }
-    return false;
-  };
+
   // The open (non-full) tail chunk may be referenced by the previous
-  // snapshot, so appends go to a private copy of it; full chunks are shared
-  // between snapshots untouched.
+  // snapshot, so appends go to a private copy of it (row pointers and
+  // points only); full chunks are shared between snapshots untouched.
   std::shared_ptr<RowChunk> open;
   if (!next->chunks.empty() && next->chunks.back()->rows.size() < kRowChunk) {
     open = std::make_shared<RowChunk>(*next->chunks.back());
+    open->rows.reserve(kRowChunk);
+    open->points.reserve(kRowChunk * num_dims);
     next->chunks.back() = open;
   }
+  const size_t first_new = next->pooled_rows;
+  std::vector<int64_t> new_strays;
   std::vector<int64_t> point(num_dims);
-  for (const Row& row : rows) {
+  for (uint32_t pos = 0; pos < rows.size(); ++pos) {
+    const Row& row = rows[pos];
     if (!EncodePoint(def, dims, row, point.data())) {
       continue;  // outside domains: unreachable anyway
     }
-    if (pooled_duplicate(point, row)) continue;
-    const uint32_t index = static_cast<uint32_t>(next->pooled_rows);
+    if (!first_in_call(pos)) continue;
+    if (may_be_pooled(point) && IsPooled(*old, point, row)) continue;
     if (open == nullptr || open->rows.size() >= kRowChunk) {
       open = std::make_shared<RowChunk>();
       open->rows.reserve(kRowChunk);
       open->points.reserve(kRowChunk * num_dims);
       next->chunks.push_back(open);
     }
-    open->rows.push_back(row);
-    for (size_t d = 0; d < num_dims; ++d) {
-      if (next->dim_posted[d] == 0) continue;
-      next->postings[d][point[d]].push_back(index);
-    }
+    open->rows.push_back(&row);
     open->points.insert(open->points.end(), point.begin(), point.end());
     ++next->pooled_rows;
+    if (!region.Contains(point)) {
+      new_strays.insert(new_strays.end(), point.begin(), point.end());
+    }
+  }
+  if (!new_strays.empty()) {
+    auto strays = std::make_shared<std::vector<int64_t>>();
+    if (old->stray_points != nullptr) *strays = *old->stray_points;
+    strays->insert(strays->end(), new_strays.begin(), new_strays.end());
+    next->stray_points = std::move(strays);
   }
 
-  next->views.push_back(std::make_shared<const StoredView>(
-      StoredView{std::move(region), std::move(rows), epoch}));
+  // Post the call's new rows: one sorted run per posted dimension.
+  if (next->pooled_rows > first_new) {
+    std::vector<std::pair<int64_t, uint32_t>> pairs;
+    pairs.reserve(next->pooled_rows - first_new);
+    for (size_t d = 0; d < num_dims; ++d) {
+      if (next->dim_posted[d] == 0) continue;
+      pairs.clear();
+      for (size_t i = first_new; i < next->pooled_rows; ++i) {
+        pairs.emplace_back(next->PooledPoint(i)[d], static_cast<uint32_t>(i));
+      }
+      std::sort(pairs.begin(), pairs.end());
+      AddRun(&next->postings[d], PostingRun::FromSorted(pairs));
+    }
+  }
+
+  next->views.push_back(view);
   cell->data.Store(std::move(next));
   version_.fetch_add(1, std::memory_order_release);
 }
@@ -322,12 +466,9 @@ std::vector<const Row*> SemanticStore::RowsIn(const TableData& data,
       if (data.dim_posted[d] == 0) continue;  // single-point domain: no index
       if (region.dim(d).Width() > 64) continue;  // too wide to enumerate
       size_t candidates = 0;
-      for (int64_t code = region.dim(d).lo; code <= region.dim(d).hi;
-           ++code) {
-        const auto post_it = data.postings[d].find(code);
-        if (post_it != data.postings[d].end()) {
-          candidates += post_it->second.size();
-        }
+      for (const auto& run : data.postings[d]) {
+        candidates += run->Count(run->Range(region.dim(d).lo,
+                                            region.dim(d).hi));
       }
       if (candidates < best_candidates) {
         best_candidates = candidates;
@@ -336,16 +477,43 @@ std::vector<const Row*> SemanticStore::RowsIn(const TableData& data,
     }
     const bool use_postings = best_dim < region.num_dims();
     if (use_postings) {
+      // Code-major, and within a code the runs oldest first: pool indices
+      // come out ascending within each code. Only runs holding some code
+      // of the range take part.
+      struct Cursor {
+        const PostingRun* run;
+        size_t next, end;  // positions in run->codes
+      };
+      std::vector<Cursor> cursors;
+      const Interval& span = region.dim(best_dim);
+      for (const auto& run : data.postings[best_dim]) {
+        const auto [first, last] = run->Range(span.lo, span.hi);
+        if (first < last) cursors.push_back({run.get(), first, last});
+      }
       out.reserve(best_candidates);
-      for (int64_t code = region.dim(best_dim).lo;
-           code <= region.dim(best_dim).hi; ++code) {
-        const auto post_it = data.postings[best_dim].find(code);
-        if (post_it == data.postings[best_dim].end()) continue;
-        for (const uint32_t i : post_it->second) {
+      const auto emit = [&](const PostingRun& run, size_t first, size_t last) {
+        for (uint32_t j = run.offsets[first]; j < run.offsets[last]; ++j) {
+          const uint32_t i = run.indices[j];
           if (region.Contains(data.PooledPoint(i))) {
             out.push_back(&data.PooledRow(i));
           }
         }
+      };
+      while (!cursors.empty()) {
+        if (cursors.size() == 1) {  // the rest comes from one run, in order
+          emit(*cursors[0].run, cursors[0].next, cursors[0].end);
+          break;
+        }
+        int64_t code = std::numeric_limits<int64_t>::max();
+        for (const Cursor& c : cursors) {
+          code = std::min(code, c.run->codes[c.next]);
+        }
+        for (Cursor& c : cursors) {
+          if (c.run->codes[c.next] != code) continue;
+          emit(*c.run, c.next, c.next + 1);
+          ++c.next;
+        }
+        std::erase_if(cursors, [](const Cursor& c) { return c.next == c.end; });
       }
     } else {
       out.reserve(data.pooled_rows);

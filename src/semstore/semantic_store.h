@@ -24,10 +24,20 @@
 // out pointers into the pinned snapshot, valid for as long as it is held.
 // Writers (Store, fed by market-call results) serialize per table on a
 // small writer mutex, rebuild the affected parts of the snapshot, and
-// publish with a release store. Row chunks are shared between successive
-// snapshots, so a Store copies O(views + postings) bookkeeping but not the
-// accumulated row payload; it appends to a private copy of the open tail
-// chunk, so no row a snapshot references is ever written again. A monotonic
+// publish with a release store. Views, row chunks and posting runs are
+// shared between successive snapshots, so the row work of a Store is in
+// proportion to its own rows: it copies the view pointers, the coverage
+// boxes and O(log pool) run pointers per dimension, never the accumulated
+// rows or postings. The pool points at rows held by the views, so each row's
+// payload is kept once. A Store appends to a private copy of the open tail
+// chunk, so no pooled entry a snapshot references is ever written again,
+// and posts its new rows in one new run per dimension, merging the newest
+// run into the one before it while that one is at most twice its size (at
+// most log2(pool) + 1 runs). It probes the pool for duplicates only with
+// rows that could already be pooled: a pooled row's point lies in the
+// region of the call that pooled it, hence in the coverage, unless it is
+// recorded as a stray point; so a row inside its call's region and outside
+// every old coverage box and stray point is new. A monotonic
 // version counter ticks on every mutation; the plan-template cache keys on
 // it to invalidate cached plans whenever coverage — and hence SQR costs —
 // may have changed.
@@ -41,8 +51,8 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -181,13 +191,44 @@ class SemanticStore {
   static constexpr size_t kRowChunkShift = 8;
   static constexpr size_t kRowChunk = 1u << kRowChunkShift;  // 256 rows
 
-  /// Lattice points are stored flat, `num_dims` coordinates per row, so a
-  /// containment test reads one contiguous run instead of chasing a
-  /// per-row heap vector.
+  /// The pool holds no row payload: each pooled row is a pointer to the
+  /// copy in the view that first brought it, and every snapshot holding
+  /// the pool holds that view. Lattice points are stored flat, `num_dims`
+  /// coordinates per row, so a containment test reads one contiguous run
+  /// instead of chasing a per-row heap vector.
   struct RowChunk {
-    std::vector<Row> rows;
+    std::vector<const Row*> rows;
     std::vector<int64_t> points;  // row i's point: [i * num_dims, +num_dims)
   };
+
+  /// One immutable posting run of one dimension: the pool indices of a
+  /// batch of rows grouped by their coordinate there, in CSR layout. Code
+  /// codes[k] owns indices[offsets[k], offsets[k + 1]), ascending. Runs are
+  /// shared between snapshots and never modified once built.
+  struct PostingRun {
+    std::vector<int64_t> codes;     // ascending, distinct
+    std::vector<uint32_t> offsets;  // codes.size() + 1 entries
+    std::vector<uint32_t> indices;
+
+    /// Positions [first, second) in `codes` of the codes within [lo, hi].
+    std::pair<size_t, size_t> Range(int64_t lo, int64_t hi) const;
+    /// Number of indices posted under the codes at `range`.
+    size_t Count(std::pair<size_t, size_t> range) const {
+      return offsets[range.second] - offsets[range.first];
+    }
+
+    /// Run of (code, index) `pairs`, sorted ascending.
+    static std::shared_ptr<const PostingRun> FromSorted(
+        std::span<const std::pair<int64_t, uint32_t>> pairs);
+    /// Union of two runs; every index of `older` is below every index of
+    /// `newer`, so each code's indices stay ascending.
+    static std::shared_ptr<const PostingRun> Merge(const PostingRun& older,
+                                                   const PostingRun& newer);
+  };
+  /// One dimension's runs, oldest first: run k holds pool indices all below
+  /// those of run k + 1, so reading the runs in order yields each code's
+  /// indices ascending.
+  using PostingRuns = std::vector<std::shared_ptr<const PostingRun>>;
 
   /// Immutable per-table snapshot: everything a reader needs, reachable
   /// from one acquire load. Never mutated after publication.
@@ -197,19 +238,23 @@ class SemanticStore {
     std::vector<std::shared_ptr<const RowChunk>> chunks;  // dedup row pool
     size_t pooled_rows = 0;
     size_t num_dims = 0;  // constrainable columns: coordinates per point
-    /// postings[dim][code] -> pool indices of rows with that coordinate.
+    /// postings[dim]: the pool indices of each coordinate, as shared runs.
     /// Dimensions whose whole domain is a single lattice point are not
-    /// posted (dim_posted[d] == 0): their one bucket would mirror the
-    /// entire pool — copied on every snapshot, selective never.
-    std::vector<std::unordered_map<int64_t, std::vector<uint32_t>>> postings;
+    /// posted (dim_posted[d] == 0): their one code would post the entire
+    /// pool and select nothing.
+    std::vector<PostingRuns> postings;
     std::vector<uint8_t> dim_posted;
+    /// Points (num_dims coordinates each) of pooled rows that lay outside
+    /// the region of the call that pooled them — the only pooled points the
+    /// coverage need not contain. Null while there are none.
+    std::shared_ptr<const std::vector<int64_t>> stray_points;
     int64_t approx_bytes = 0;   // accumulated at Store time
     int64_t domain_volume = 0;  // lattice size, learned from the TableDef
     int64_t min_epoch = 0;      // oldest / newest stored view epochs
     int64_t max_epoch = 0;
 
     const Row& PooledRow(size_t i) const {
-      return chunks[i >> kRowChunkShift]->rows[i & (kRowChunk - 1)];
+      return *chunks[i >> kRowChunkShift]->rows[i & (kRowChunk - 1)];
     }
     std::span<const int64_t> PooledPoint(size_t i) const {
       return {chunks[i >> kRowChunkShift]->points.data() +
@@ -219,9 +264,9 @@ class SemanticStore {
   };
 
   /// One table's cell: the published snapshot and lifetime probe counters.
-  /// Writer-side dedup probes the postings index of the snapshot under
-  /// construction, so no separate seen-set (with its second copy of every
-  /// pooled row) is kept.
+  /// Writer-side dedup probes the posting runs of the published snapshot,
+  /// so no separate seen-set (with its second copy of every pooled row) is
+  /// kept.
   struct TableCell {
     TableCell() { data.Store(std::make_shared<const TableData>()); }
 
@@ -233,6 +278,16 @@ class SemanticStore {
   };
 
   static void AddCoverage(std::vector<Box>* coverage, Box region);
+
+  /// Appends `run` to `runs`, then merges the newest run into the one
+  /// before it while that one is at most twice its size, so a pool of n
+  /// rows keeps at most log2(n) + 1 runs per dimension.
+  static void AddRun(PostingRuns* runs, std::shared_ptr<const PostingRun> run);
+
+  /// True iff `data`'s pool already holds `row`, whose lattice point is
+  /// `point`.
+  static bool IsPooled(const TableData& data, std::span<const int64_t> point,
+                       const Row& row);
 
   /// Views usable under `min_epoch`, as regions (weak consistency reads the
   /// normalized coverage instead — see IsCoveredUnder for the alloc-free

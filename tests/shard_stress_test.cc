@@ -12,6 +12,7 @@
 // snapshot-publication protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -294,6 +295,92 @@ TEST_F(ShardStressTest, PinnedRowPointersSurviveConcurrentStoreAndDrop) {
   for (std::thread& t : writers) t.join();
   EXPECT_GT(checked.load(), 0);
   EXPECT_EQ(store_.TotalHits() + store_.TotalMisses(), store_.TotalProbes());
+}
+
+TEST_F(ShardStressTest, ReadersSeeMonotonicRowsWhileRunsMerge) {
+  // Writers harvest one-key slabs of 8 rows each, some twice, so every
+  // Store posts a small run and the runs merge again and again; readers pin
+  // and read fixed regions throughout. Every row a reader gets must lie in
+  // its region and appear once, and with no drop a region's row count
+  // never falls from one read to the next.
+  const auto key_slab = [](int64_t k) {
+    return Box({Interval::Point(k), Interval(1, 8)});
+  };
+  const auto key_rows = [](int64_t k) {
+    std::vector<Row> rows;
+    for (int64_t d = 1; d <= 8; ++d) {
+      rows.push_back(
+          Row{Value(k), Value(d), Value(static_cast<double>(k * 10 + d))});
+    }
+    return rows;
+  };
+  const std::vector<Box> regions = {
+      Box({Interval(1, 64), Interval(1, 8)}),      // posted on K
+      Box({Interval(1, kKeys), Interval(1, 8)}),   // the whole table
+      Box({Interval(100, 140), Interval(3, 5)}),   // narrow on both
+      Box({Interval(65, kKeys), Interval(8, 8)})}; // too wide on K
+  std::atomic<int> writers_done{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      uint64_t rng = 0x5eed + static_cast<uint64_t>(w);
+      for (int64_t i = 0; i < kKeys; ++i) {
+        rng = Mix(rng);
+        // Writer 0 walks keys upward, writer 1 downward: their calls meet
+        // in the middle and then repeat each other's keys.
+        const int64_t k = w == 0 ? i + 1 : kKeys - i;
+        store_.Store(def(0), key_slab(k), key_rows(k),
+                     static_cast<int64_t>(rng % 4));
+        if (rng % 8 == 0) {  // an identical repeat of the same call
+          store_.Store(def(0), key_slab(k), key_rows(k), 0);
+        }
+      }
+      writers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  std::atomic<int64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      const int64_t min_epoch = r == 0 ? kWeak : 0;
+      std::vector<size_t> last(regions.size(), 0);
+      do {
+        for (size_t q = 0; q < regions.size(); ++q) {
+          const SemanticStore::TableSnapshot pinned = store_.Pin(TableName(0));
+          const std::vector<const Row*> rows =
+              pinned.RowsInRegion(def(0), regions[q], min_epoch);
+          std::vector<int64_t> seen;
+          seen.reserve(rows.size());
+          for (const Row* row : rows) {
+            const int64_t k = row->at(0).AsInt64();
+            const int64_t d = row->at(1).AsInt64();
+            EXPECT_TRUE(regions[q].Contains(std::vector<int64_t>{k, d}))
+                << "row (" << k << ", " << d << ") outside region " << q;
+            seen.push_back(k * 16 + d);
+          }
+          std::sort(seen.begin(), seen.end());
+          EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+              << "a row came out twice in region " << q;
+          EXPECT_GE(rows.size(), last[q]) << "region " << q << " shrank";
+          last[q] = rows.size();
+          reads.fetch_add(1, std::memory_order_relaxed);
+        }
+      } while (writers_done.load(std::memory_order_acquire) < 2);
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(reads.load(), 0);
+  // Quiescent: each region holds exactly its distinct rows.
+  const SemanticStore::TableSnapshot pinned = store_.Pin(TableName(0));
+  EXPECT_EQ(pinned.RowsInRegion(def(0), regions[0], kWeak).size(), 64u * 8u);
+  EXPECT_EQ(pinned.RowsInRegion(def(0), regions[1], kWeak).size(),
+            static_cast<size_t>(kKeys) * 8u);
+  EXPECT_EQ(pinned.RowsInRegion(def(0), regions[2], kWeak).size(), 41u * 3u);
+  EXPECT_EQ(pinned.RowsInRegion(def(0), regions[3], kWeak).size(),
+            static_cast<size_t>(kKeys - 64));
+  EXPECT_EQ(store_.SnapshotStats()[0].pooled_rows,
+            static_cast<size_t>(kKeys) * 8u);
 }
 
 TEST_F(ShardStressTest, ConcurrentFeedbackAndEstimates) {
