@@ -17,9 +17,9 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -101,12 +101,18 @@ class BillingMeter {
 /// hosting/append time. This matches per-record-priced data products (a
 /// record is the unit of sale) and makes buyer-side caching exact — a
 /// tuple's content identifies it across the semantic store, the mirror
-/// tables and fresh call results.
+/// tables and fresh call results. Each hosted row is held once; the set is
+/// a hash over row ids.
 ///
-/// Hosted tables carry simple seller-side indexes (posting lists for point
-/// conditions, a sorted projection for numeric ranges) so that the many
-/// small calls a bind join issues do not scan whole tables; this changes
-/// nothing observable — it is how a real market serves keyed GETs.
+/// Every constrainable column carries one seller-side index: the ids of
+/// its non-NULL rows sorted by (value, id) under Value's total order. A
+/// point or range condition selects exactly one span of its column's index,
+/// so a call is served from its narrowest condition's span (a scan when it
+/// has none) and costs time in proportion to that span, as a real market
+/// serves keyed GETs. Candidates are checked against the whole call
+/// (RestCall::MatchesRow) and returned in hosted-row order, the order of a
+/// full scan, whichever span served them. None of this is observable in
+/// rows, counts or prices.
 ///
 /// Thread-safe: Execute/TableSize are read-only and take a shared lock, so
 /// concurrent GETs proceed in parallel; HostTable/AppendRows (the periodic
@@ -137,18 +143,20 @@ class DataMarket {
  private:
   struct HostedTable {
     std::vector<Row> rows;
-    std::unordered_set<Row, RowHasher> seen;  // set semantics
-    /// column -> value -> row indices, for every constrainable column.
-    std::map<size_t, std::unordered_map<Value, std::vector<uint32_t>,
-                                        ValueHasher>>
-        point_index;
-    /// column -> (value, row index) sorted by value, for numeric
-    /// constrainable columns.
-    std::map<size_t, std::vector<std::pair<int64_t, uint32_t>>> range_index;
-  };
+    /// HashRow -> id into `rows`, for set semantics.
+    std::unordered_multimap<size_t, uint32_t> ids_by_hash;
+    /// by_column[col]: ids of the rows whose `col` is not NULL, sorted by
+    /// (rows[id][col], id); empty for output columns.
+    std::vector<std::vector<uint32_t>> by_column;
 
-  void IndexRows(const catalog::TableDef& def, HostedTable* table,
-                 size_t first_row) const;
+    /// Appends `row` unless an equal row is hosted.
+    void Insert(Row row);
+    /// Adds rows[first_row..] to the index of every constrainable column.
+    void Index(const catalog::TableDef& def, size_t first_row);
+    /// The index span of `col` whose values lie in [lo, hi].
+    std::span<const uint32_t> Span(size_t col, const Value& lo,
+                                   const Value& hi) const;
+  };
 
   const catalog::Catalog* catalog_;
   mutable std::shared_mutex mutex_;  // read-mostly: shared for Execute
