@@ -284,11 +284,18 @@ void SemanticStore::Store(const catalog::TableDef& def, Box call_region,
   }
 
   // Duplicates within the call: open-addressing set of positions in `rows`
-  // (1 + position; 0 is free) of the first copy of each encodable row.
+  // (1 + position; 0 is free) of the first copy of each encodable row,
+  // hashed by the row's lattice point (equal rows have equal points) and
+  // compared in full. Rows that share a point share one probe sequence.
   const size_t num_slots = std::bit_ceil(2 * rows.size() + 2);
   std::vector<uint32_t> slots(num_slots, 0);
-  const auto first_in_call = [&](uint32_t pos) {
-    size_t s = common::SplitMix64(HashRow(rows[pos])) & (num_slots - 1);
+  const auto first_in_call = [&](uint32_t pos,
+                                 std::span<const int64_t> point) {
+    uint64_t hash = num_dims;
+    for (const int64_t code : point) {
+      hash = common::SplitMix64(hash ^ static_cast<uint64_t>(code));
+    }
+    size_t s = hash & (num_slots - 1);
     for (; slots[s] != 0; s = (s + 1) & (num_slots - 1)) {
       if (rows[slots[s] - 1] == rows[pos]) return false;
     }
@@ -314,7 +321,7 @@ void SemanticStore::Store(const catalog::TableDef& def, Box call_region,
     if (!EncodePoint(def, dims, row, point.data())) {
       continue;  // outside domains: unreachable anyway
     }
-    if (!first_in_call(pos)) continue;
+    if (!first_in_call(pos, point)) continue;
     if (may_be_pooled(point) && IsPooled(*old, point, row)) continue;
     if (open == nullptr || open->rows.size() >= kRowChunk) {
       open = std::make_shared<RowChunk>();
